@@ -14,7 +14,7 @@
 //!   rounds, against which the divide & conquer algorithm's
 //!   `O(log n log² k)` wins for large `k`.
 
-use amoebot_circuits::{RoundReport, Topology, World};
+use amoebot_circuits::{Topology, World};
 use amoebot_grid::{AmoebotStructure, NodeId};
 use amoebot_spf::forest::merge::merge_forests;
 use amoebot_spf::forest::Forest;
@@ -84,15 +84,7 @@ pub fn sequential_forest(structure: &AmoebotStructure, sources: &[NodeId]) -> Ba
     let all_mask = vec![true; n];
     let mut acc: Option<Forest> = None;
     for &s in sources {
-        let mut report = RoundReport::new();
-        let parents = spt_in_world(
-            &mut world,
-            structure,
-            &mask,
-            s.index(),
-            &all_mask,
-            &mut report,
-        );
+        let parents = spt_in_world(&mut world, structure, &mask, s.index(), &all_mask);
         let mut f = Forest::from_parents(parents, vec![s.index()]);
         f.member = vec![true; n];
         acc = Some(match acc {

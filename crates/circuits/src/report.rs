@@ -4,9 +4,11 @@ use std::fmt;
 
 /// A breakdown of the rounds an algorithm spent, by named phase.
 ///
-/// Algorithms in this workspace return a `RoundReport` alongside their
-/// output so the benchmark harness can attribute rounds to the phases named
-/// in the paper's lemmas (e.g. "root-and-prune x-axis", "merge level 3").
+/// Every [`World`](crate::World) keeps one, filled by
+/// [`World::phase`](crate::World::phase); algorithms return it alongside
+/// their output so the benchmark harness can attribute rounds to the
+/// phases named in the paper's lemmas (e.g. "portal root-and-prune
+/// (x-axis)", "merge level 3").
 #[derive(Debug, Clone, Default)]
 pub struct RoundReport {
     phases: Vec<(String, u64)>,
@@ -19,15 +21,8 @@ impl RoundReport {
     }
 
     /// Records that `phase` took `rounds` rounds.
-    pub fn record(&mut self, phase: impl Into<String>, rounds: u64) {
+    pub(crate) fn record(&mut self, phase: impl Into<String>, rounds: u64) {
         self.phases.push((phase.into(), rounds));
-    }
-
-    /// Merges another report into this one, prefixing its phase names.
-    pub fn absorb(&mut self, prefix: &str, other: RoundReport) {
-        for (phase, rounds) in other.phases {
-            self.phases.push((format!("{prefix}/{phase}"), rounds));
-        }
     }
 
     /// Total rounds across all phases.
@@ -51,22 +46,6 @@ impl fmt::Display for RoundReport {
     }
 }
 
-/// Measures the rounds a closure spends in a world and records them in a
-/// report under `phase`.
-pub fn timed<W, T>(
-    world: &mut W,
-    report: &mut RoundReport,
-    phase: &str,
-    rounds_of: impl Fn(&W) -> u64,
-    body: impl FnOnce(&mut W) -> T,
-) -> T {
-    let before = rounds_of(world);
-    let out = body(world);
-    let after = rounds_of(world);
-    report.record(phase, after - before);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,11 +56,8 @@ mod tests {
         r.record("a", 3);
         r.record("b", 4);
         assert_eq!(r.total(), 7);
-        let mut outer = RoundReport::new();
-        outer.absorb("inner", r);
-        assert_eq!(outer.total(), 7);
-        let s = outer.to_string();
-        assert!(s.contains("inner/a"));
+        let s = r.to_string();
+        assert!(s.contains("  a: 3"));
         assert!(s.contains("total rounds: 7"));
     }
 }

@@ -16,7 +16,9 @@
 //! between uses), and the per-port edge index and node base offsets
 //! (both derivable from the link table and the CSR respectively). Phase
 //! timers are also dropped: they are wall-clock diagnostics, excluded
-//! from canonical reports by design.
+//! from canonical reports by design. So is the phase ledger
+//! ([`World::report`]): it is a diagnostic of one algorithm run, not
+//! world state, and a restored world starts with an empty one.
 //!
 //! ## Payload grammar (inside the [`wire`] envelope, kind `WORLD`)
 //!
@@ -46,6 +48,7 @@
 use amoebot_telemetry::wire::{self, SnapshotReader, SnapshotWriter, WireError};
 
 use crate::bitset::BitSet;
+use crate::report::RoundReport;
 use crate::topology::{Topology, NONE};
 use crate::world::{EngineStats, World, DEAD_LINK, NO_EDGE};
 
@@ -529,6 +532,10 @@ impl World {
             simulated,
             charged,
             charge_log,
+            // The phase ledger is a diagnostic of one algorithm run and
+            // is not persisted: a restored world starts with none.
+            report: RoundReport::new(),
+            phase_depth: 0,
             beeps_sent,
             stuck,
         })

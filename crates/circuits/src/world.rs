@@ -52,6 +52,7 @@
 //! the incremental engine against it.
 
 use crate::bitset::BitSet;
+use crate::report::RoundReport;
 use crate::topology::{PortId, Topology};
 use amoebot_telemetry::{
     mix64, CounterId, Metrics, NullRecorder, Recorder, RelabelKind, RoundSummary, Stopwatch,
@@ -264,6 +265,11 @@ pub struct World {
     /// Audited rounds charged without simulation (see [`World::charge_rounds`]).
     pub(crate) charged: u64,
     pub(crate) charge_log: Vec<(String, i64)>,
+    /// The per-phase round ledger filled by [`World::phase`] (a
+    /// diagnostic: snapshots do not persist it).
+    pub(crate) report: RoundReport,
+    /// Open [`World::phase`] scopes; only the outermost one records.
+    pub(crate) phase_depth: u32,
     /// Total beeps sent (diagnostic; the model itself never counts beeps).
     pub(crate) beeps_sent: u64,
     /// Stuck-at pin faults as `(pin gid, frozen pset)`, sorted by gid.
@@ -351,6 +357,8 @@ impl World {
             simulated: 0,
             charged: 0,
             charge_log: Vec::new(),
+            report: RoundReport::new(),
+            phase_depth: 0,
             beeps_sent: 0,
             stuck: Vec::new(),
         };
@@ -388,7 +396,7 @@ impl World {
     /// [`World::tick_reference`]). The audit invariant is
     /// `rounds() == simulated_rounds() + Σ charge_log()` — every
     /// non-simulated adjustment of the round counter appears in the log,
-    /// charges positive and rebates negative.
+    /// charges positive and rebates ([`World::parallel`]) negative.
     #[inline]
     pub fn simulated_rounds(&self) -> u64 {
         self.simulated
@@ -405,7 +413,7 @@ impl World {
     /// The audit log of non-simulated round adjustments as
     /// `(reason, rounds)` entries: positive for charges
     /// ([`World::charge_rounds`]), negative for rebates
-    /// ([`World::rebate_rounds`]). Summing the entries reconciles the
+    /// ([`World::parallel`]). Summing the entries reconciles the
     /// counter: `simulated_rounds() + Σ == rounds()`.
     pub fn charge_log(&self) -> &[(String, i64)] {
         &self.charge_log
@@ -1452,20 +1460,11 @@ impl World {
         self.charge_log.push((reason.to_string(), k as i64));
     }
 
-    /// Rebates `k` rounds from the counter with an audit-log entry.
-    ///
-    /// Used for *parallel composition*: when several primitives operate on
-    /// vertex-disjoint regions (disjoint circuits), the model runs them in
-    /// the same rounds, but the simulator executes them sequentially. The
-    /// caller measures each region's span and rebates `sum - max` so the
-    /// counter reflects the parallel execution. Every rebate is recorded in
-    /// the charge log as a **negative** entry, so the log always reconciles:
-    /// `simulated_rounds() + Σ charge_log() == rounds()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rebating more rounds than have elapsed.
-    pub fn rebate_rounds(&mut self, k: u64, reason: &str) {
+    /// Rebates `k` rounds from the counter with a negative audit-log
+    /// entry, so the log always reconciles:
+    /// `simulated_rounds() + Σ charge_log() == rounds()`. Only
+    /// [`World::parallel`] rebates.
+    fn rebate_rounds(&mut self, k: u64, reason: &str) {
         assert!(
             k <= self.rounds,
             "cannot rebate {k} of {} rounds",
@@ -1474,6 +1473,59 @@ impl World {
         self.rounds -= k;
         self.charge_log
             .push((format!("rebate: {reason}"), -(k as i64)));
+    }
+
+    /// Runs `body` as phase `name` of the world's round ledger
+    /// ([`World::report`]): the rounds it spends, simulated, charged and
+    /// rebated, are recorded under `name`. Only the outermost open phase
+    /// records, so the phases of a sub-algorithm count towards its
+    /// caller's phase.
+    pub fn phase<T>(&mut self, name: impl Into<String>, body: impl FnOnce(&mut World) -> T) -> T {
+        let start = self.rounds;
+        self.phase_depth += 1;
+        let out = body(self);
+        self.phase_depth -= 1;
+        if self.phase_depth == 0 {
+            self.report.record(name, self.rounds - start);
+        }
+        out
+    }
+
+    /// Runs a *parallel group*: `job` on every item, where the items are
+    /// sub-runs on vertex-disjoint regions (disjoint circuits) that the
+    /// model executes in the same rounds. The simulator runs them one
+    /// after another, then rebates the counter down to the slowest
+    /// sub-run: `Σ spans − max span`, one negative charge-log entry
+    /// `rebate: {reason}` when the group has two or more items. This is
+    /// the only place the counter is rebated.
+    pub fn parallel<I: IntoIterator, T>(
+        &mut self,
+        reason: &str,
+        items: I,
+        mut job: impl FnMut(&mut World, I::Item) -> T,
+    ) -> Vec<T> {
+        let (mut total, mut slowest) = (0, 0);
+        let out: Vec<T> = items
+            .into_iter()
+            .map(|item| {
+                let start = self.rounds;
+                let r = job(self, item);
+                let span = self.rounds - start;
+                total += span;
+                slowest = slowest.max(span);
+                r
+            })
+            .collect();
+        if out.len() > 1 {
+            self.rebate_rounds(total - slowest, reason);
+        }
+        out
+    }
+
+    /// The round ledger: the rounds of every closed outermost
+    /// [`World::phase`], in order.
+    pub fn report(&self) -> &RoundReport {
+        &self.report
     }
 
     /// Number of distinct circuits under the current pin configuration
@@ -1928,6 +1980,34 @@ mod tests {
             .charge_log()
             .iter()
             .any(|(reason, k)| reason.starts_with("rebate:") && *k < 0));
+    }
+
+    /// Nested phases record once, under the outermost name; a parallel
+    /// group rebates `Σ spans − max span` with one negative log entry.
+    #[test]
+    fn phase_ledger_and_parallel_group() {
+        let mut w = path_world(2, 1);
+        w.phase("outer", |w| {
+            w.tick();
+            w.phase("inner", |w| w.charge_rounds(2, "glue"));
+        });
+        let spans = w.phase("group", |w| {
+            w.parallel("disjoint runs", [3u64, 1, 2], |w, k| {
+                w.charge_rounds(k, "run");
+                k
+            })
+        });
+        assert_eq!(spans, [3, 1, 2]);
+        let phases: Vec<(&str, u64)> = w
+            .report()
+            .phases()
+            .iter()
+            .map(|(p, r)| (p.as_str(), *r))
+            .collect();
+        assert_eq!(phases, [("outer", 3), ("group", 3)]);
+        assert_eq!(w.report().total(), w.rounds());
+        let rebates: Vec<&(String, i64)> = w.charge_log().iter().filter(|&&(_, k)| k < 0).collect();
+        assert_eq!(rebates, [&("rebate: disjoint runs".to_string(), -3)]);
     }
 
     /// Reconfiguring *after* a tick must invalidate the cached labeling:

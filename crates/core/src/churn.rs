@@ -22,7 +22,8 @@
 use amoebot_grid::{AmoebotStructure, NodeId};
 use amoebot_telemetry::{CounterId, Metrics};
 
-use crate::spt::{shortest_path_tree, SptOutcome};
+use crate::forest::ForestOutcome;
+use crate::spt::shortest_path_tree;
 
 /// Aggregate cost of algorithm restarts across the churn events of one
 /// scenario run, backed by the telemetry registry so a scenario's
@@ -92,7 +93,7 @@ pub fn remap_terminals(map: &[Option<NodeId>], terminals: &[NodeId]) -> Vec<Node
 #[derive(Debug, Clone)]
 pub struct SptRestart {
     /// The restarted algorithm's outcome.
-    pub outcome: SptOutcome,
+    pub outcome: ForestOutcome,
     /// The source actually used (re-anchored if the original died).
     pub source: NodeId,
     /// The destination set actually used (all nodes if the original set

@@ -25,34 +25,20 @@
 //! 4. **Destinations** (Corollary 57): a final root-and-prune with `Q = D`
 //!    prunes every subtree without destinations.
 
-use amoebot_circuits::{RoundReport, Topology, World};
+use amoebot_circuits::{Topology, World};
 use amoebot_grid::{AmoebotStructure, Axis, NodeId};
 
 use crate::forest::line::line_forest;
 use crate::forest::merge::merge_forests;
 use crate::forest::propagate::propagate_forest;
-use crate::forest::Forest;
+use crate::forest::{Forest, ForestOutcome};
 use crate::links::LINKS;
-use crate::portals::{axis_portals, mark_portals, portal_root_and_prune, AxisPortals};
-use crate::primitives::decomposition::centroid_decomposition;
+use crate::portals::{
+    axis_portals, mark_portals, portal_centroid_decomposition, portal_root_and_prune, AxisPortals,
+};
 use crate::primitives::root_prune::root_and_prune;
 use crate::spt::spt_in_world;
 use crate::tree::Tree;
-
-/// Result of the shortest path forest algorithm.
-#[derive(Debug, Clone)]
-pub struct ForestOutcome {
-    /// `parents[v]` in the `(S, D)`-shortest path forest (`None` for
-    /// sources, pruned amoebots and non-members).
-    pub parents: Vec<Option<NodeId>>,
-    /// Total simulator rounds.
-    pub rounds: u64,
-    /// Total distinct beeps sent (diagnostic instrumentation of
-    /// [`World::beeps_sent`]; the model itself never counts beeps).
-    pub beeps: u64,
-    /// Per-phase breakdown.
-    pub report: RoundReport,
-}
 
 /// Computes an `(S, D)`-shortest path forest (Theorem 56 / Corollary 57,
 /// `O(log n log² k)` rounds).
@@ -74,17 +60,10 @@ pub fn shortest_path_forest(
 
     // k = 1 degenerates to the shortest path tree algorithm (§1.3).
     if src.len() == 1 {
-        let out = crate::spt::shortest_path_tree(structure, NodeId(src[0] as u32), dests);
-        return ForestOutcome {
-            parents: out.parents,
-            rounds: out.rounds,
-            beeps: out.beeps,
-            report: out.report,
-        };
+        return crate::spt::shortest_path_tree(structure, NodeId(src[0] as u32), dests);
     }
 
     let mut world = World::new(Topology::from_structure(structure), LINKS);
-    let mut report = RoundReport::new();
     let mut dest_mask = vec![false; n];
     for d in dests {
         dest_mask[d.index()] = true;
@@ -98,33 +77,26 @@ pub fn shortest_path_forest(
     };
 
     let full_mask = vec![true; n];
-    let forest = sources_forest(
-        &mut world,
-        structure,
-        &full_mask,
-        &src,
-        &src_mask,
-        &mut report,
-    );
+    let forest = sources_forest(&mut world, structure, &full_mask, &src, &src_mask);
 
     // Corollary 57: prune every tree with Q = D.
-    let start = world.rounds();
-    let roots = forest_roots(&forest);
-    let trees: Vec<Tree> = forest
-        .sources
-        .iter()
-        .map(|&s| {
-            let mut parents = vec![None; n];
-            for v in 0..n {
-                if forest.member[v] && roots[v] == s as u32 {
-                    parents[v] = forest.parents[v];
+    let rp = world.phase("destination pruning (Corollary 57)", |w| {
+        let roots = forest_roots(&forest);
+        let trees: Vec<Tree> = forest
+            .sources
+            .iter()
+            .map(|&s| {
+                let mut parents = vec![None; n];
+                for v in 0..n {
+                    if forest.member[v] && roots[v] == s as u32 {
+                        parents[v] = forest.parents[v];
+                    }
                 }
-            }
-            Tree::from_parents(n, s, &parents)
-        })
-        .collect();
-    let rp = root_and_prune(&mut world, &trees, &dest_mask);
-    report.record("destination pruning (Corollary 57)", world.rounds() - start);
+                Tree::from_parents(n, s, &parents)
+            })
+            .collect();
+        root_and_prune(w, &trees, &dest_mask)
+    });
 
     let parents: Vec<Option<NodeId>> = (0..n)
         .map(|v| {
@@ -135,12 +107,7 @@ pub fn shortest_path_forest(
             }
         })
         .collect();
-    ForestOutcome {
-        parents,
-        rounds: world.rounds(),
-        beeps: world.beeps_sent(),
-        report,
-    }
+    ForestOutcome::new(&world, parents)
 }
 
 /// The root of every node under `f`'s parent pointers, memoized with path
@@ -183,11 +150,12 @@ fn forest_roots(f: &Forest) -> Vec<u32> {
     root
 }
 
-/// A region of the divide step: an amoebot mask plus, per `Q'` portal it
-/// meets, which side of that portal the region lies on.
+/// A region of the divide step: its forest, whose `member` mask is the
+/// region, plus, per `Q'` portal it meets, which side of that portal the
+/// region lies on.
 #[derive(Debug, Clone)]
 struct Region {
-    mask: Vec<bool>,
+    forest: Forest,
     /// `(portal id, side)` of each boundary `Q'` portal.
     boundaries: Vec<(u32, usize)>,
 }
@@ -200,38 +168,38 @@ fn sources_forest(
     mask: &[bool],
     src: &[usize],
     src_mask: &[bool],
-    report: &mut RoundReport,
 ) -> Forest {
-    let n = structure.len();
     let ap = axis_portals(structure, mask, Axis::X);
 
-    // §5.4.1: Q = portals with sources (one beep round, Lemma 51)...
-    let start = world.rounds();
-    let q_portals = mark_portals(world, structure, mask, &ap, src_mask);
-
     // Degenerate case: the whole structure is a single x-portal (a line).
+    // Q is still marked (one beep round, Lemma 51).
     if ap.portals.len() == 1 {
-        let chain = ap.portals[0].clone();
-        let is_source: Vec<bool> = chain.iter().map(|&v| src_mask[v]).collect();
-        let f = line_forest(world, &chain, &is_source);
-        report.record("line structure (Lemma 40)", world.rounds() - start);
-        return f;
+        return world.phase("line structure (Lemma 40)", |w| {
+            mark_portals(w, structure, mask, &ap, src_mask);
+            let chain = &ap.portals[0];
+            let is_source: Vec<bool> = chain.iter().map(|&v| src_mask[v]).collect();
+            line_forest(w, chain, &is_source)
+        });
     }
 
-    // ...and A_Q via the portal root-and-prune rooted at the leader's
-    // portal (the leader is a precondition, §2.1; we use the first source).
+    // §5.4.1: Q = portals with sources (one beep round, Lemma 51), and A_Q
+    // via the portal root-and-prune rooted at the leader's portal (the
+    // leader is a precondition, §2.1; we use the first source).
     let leader_portal = ap.portal_of[src[0]];
-    let prp = portal_root_and_prune(world, structure, mask, &ap, leader_portal, &q_portals);
-    let q_prime: Vec<bool> = (0..ap.portals.len())
-        .map(|p| q_portals[p] || (prp.portal_in_vq[p] && prp.portal_deg_q[p] >= 3))
-        .collect();
-    report.record("compute Q' = Q ∪ A_Q (Lemma 51)", world.rounds() - start);
+    let (prp, q_prime) = world.phase("compute Q' = Q ∪ A_Q (Lemma 51)", |w| {
+        let q_portals = mark_portals(w, structure, mask, &ap, src_mask);
+        let prp = portal_root_and_prune(w, structure, mask, &ap, leader_portal, &q_portals);
+        let q_prime: Vec<bool> = (0..ap.portals.len())
+            .map(|p| q_portals[p] || (prp.portal_in_vq[p] && prp.portal_deg_q[p] >= 3))
+            .collect();
+        (prp, q_prime)
+    });
 
     // §5.4.1: split into regions (Lemma 52). The unmarking beep is a round.
-    let start = world.rounds();
-    world.charge_rounds(1, "unmark westernmost connectors (Lemma 52)");
-    let (regions, splits) =
-        build_regions(structure, &ap, leader_portal, &prp.portal_in_vq, &q_prime);
+    let (regions, splits) = world.phase("divide into regions (Lemma 52)", |w| {
+        w.charge_rounds(1, "unmark westernmost connectors (Lemma 52)");
+        build_regions(structure, &ap, leader_portal, &prp.portal_in_vq, &q_prime)
+    });
     for r in &regions {
         let b: std::collections::BTreeSet<u32> = r.boundaries.iter().map(|&(p, _)| p).collect();
         assert!(
@@ -239,129 +207,79 @@ fn sources_forest(
             "Lemma 52: regions meet one or two Q' portals"
         );
     }
-    report.record("divide into regions (Lemma 52)", world.rounds() - start);
 
     // §5.4.2 preprocessing: elect R' ∈ Q' and root the portal tree at it.
-    let start = world.rounds();
-    let q_hat: Vec<bool> = (0..n)
-        .map(|v| {
-            mask[v]
-                && ap.portal_of[v] != u32::MAX
-                && q_prime[ap.portal_of[v] as usize]
-                && ap.reps[ap.portal_of[v] as usize] == v
-        })
-        .collect();
-    let tree = ap.tree_rooted_at(leader_portal);
-    let elected = crate::primitives::election::elect(world, std::slice::from_ref(&tree), &q_hat);
-    let r_prime = ap.portal_of[elected[0].expect("Q' is non-empty")];
-    world.charge_rounds(1, "announce R' on portal circuit (Lemma 35)");
-    // Portal tree rooted at R' (depths for LCA identification, Lemma 53).
-    let pdepth = portal_depths(&ap, r_prime);
-    world.charge_rounds(1, "identify P_DSC via region circuit (Lemma 53)");
-    report.record(
-        "elect and root at R' (Lemmas 35, 53)",
-        world.rounds() - start,
-    );
+    let (r_prime, pdepth) = world.phase("elect and root at R' (Lemmas 35, 53)", |w| {
+        let q_hat: Vec<bool> = (0..structure.len())
+            .map(|v| {
+                mask[v]
+                    && ap.portal_of[v] != u32::MAX
+                    && q_prime[ap.portal_of[v] as usize]
+                    && ap.reps[ap.portal_of[v] as usize] == v
+            })
+            .collect();
+        let tree = ap.tree_rooted_at(leader_portal);
+        let elected = crate::primitives::election::elect(w, std::slice::from_ref(&tree), &q_hat);
+        let r_prime = ap.portal_of[elected[0].expect("Q' is non-empty")];
+        w.charge_rounds(1, "announce R' on portal circuit (Lemma 35)");
+        // Portal tree rooted at R' (depths for LCA identification, Lemma 53).
+        let pdepth = portal_depths(&ap, r_prime);
+        w.charge_rounds(1, "identify P_DSC via region circuit (Lemma 53)");
+        (r_prime, pdepth)
+    });
 
-    // §5.4.2 base case: per-region forests, in parallel (rebated).
-    let start = world.rounds();
-    let mut forests: Vec<Forest> = Vec::with_capacity(regions.len());
-    let mut spans = Vec::new();
-    for region in &regions {
-        let s0 = world.rounds();
-        forests.push(base_case_forest(
-            world, structure, &ap, region, src_mask, &pdepth,
-        ));
-        spans.push(world.rounds() - s0);
-    }
-    rebate_to_max(
-        world,
-        &spans,
-        "base-case regions run in parallel (Lemma 54)",
-    );
-    report.record("base case per region (Lemma 54)", world.rounds() - start);
+    // §5.4.2 base case: per-region forests, in parallel.
+    let regions = world.phase("base case per region (Lemma 54)", |w| {
+        w.parallel(
+            "base-case regions run in parallel (Lemma 54)",
+            regions,
+            |w, region| base_case_forest(w, structure, &ap, region, src_mask, &pdepth),
+        )
+    });
 
     // §5.4.4: schedule merges by a Q'-centroid decomposition tree of the
     // portal graph, computed with the real decomposition primitive on the
     // portal quotient (§3.5 / Lemma 37 establish the equivalence).
-    let quotient_edges: Vec<(usize, usize)> = {
-        let adj = ap.portal_tree_edges();
-        let mut e = Vec::new();
-        for (p, lst) in adj.iter().enumerate() {
-            for &(q, _) in lst {
-                if (p as u32) < q {
-                    e.push((p, q as usize));
-                }
-            }
-        }
-        e
-    };
-    let mut qworld = World::new(
-        Topology::from_edges(ap.portals.len(), &quotient_edges),
-        LINKS,
-    );
-    let qtree = Tree::from_edges(ap.portals.len(), r_prime as usize, &quotient_edges);
-    let decomposition = centroid_decomposition(&mut qworld, &qtree, &q_prime);
-    let decomposition_rounds = qworld.rounds();
-    report.record(
-        "portal centroid decomposition (Lemma 37)",
-        decomposition_rounds,
-    );
-    world.charge_rounds(
-        decomposition_rounds,
-        "portal centroid decomposition on the quotient (Lemma 37)",
-    );
+    let decomposition = world.phase("portal centroid decomposition (Lemma 37)", |w| {
+        portal_centroid_decomposition(w, &ap, r_prime, &q_prime)
+    });
 
     // Merge from the deepest decomposition level upward (§5.4.4); the
     // decomposition is recomputed (binary-counter replay) per level.
-    let mut live: Vec<Option<(Region, Forest)>> =
-        regions.into_iter().zip(forests).map(Some).collect();
+    let mut live: Vec<Option<Region>> = regions.into_iter().map(Some).collect();
     for level in (0..decomposition.levels).rev() {
         let portals_at_level = decomposition.centroids_at_level(level);
         if portals_at_level.is_empty() {
             continue;
         }
         if level + 1 != decomposition.levels {
-            world.charge_rounds(
-                decomposition_rounds + 2,
-                "recompute decomposition level (Lemma 37 + binary counter)",
+            world.phase(
+                format!("portal centroid decomposition: recompute level {level} (Lemma 37)"),
+                |w| {
+                    w.charge_rounds(
+                        decomposition.rounds + 2,
+                        "recompute decomposition level (Lemma 37 + binary counter)",
+                    )
+                },
             );
         }
-        let s0 = world.rounds();
-        let mut spans = Vec::new();
-        for &p in &portals_at_level {
-            let m0 = world.rounds();
-            merge_around_portal(
-                world,
-                structure,
-                &ap,
-                p as u32,
-                splits.get(&(p as u32)),
-                &mut live,
-            );
-            spans.push(world.rounds() - m0);
-        }
-        rebate_to_max(world, &spans, "same-level portal merges run in parallel");
-        report.record(
-            format!("merge level {level} (Lemma 55)"),
-            world.rounds() - s0,
-        );
+        world.phase(format!("merge level {level} (Lemma 55)"), |w| {
+            w.parallel(
+                "same-level portal merges run in parallel",
+                portals_at_level,
+                |w, p| {
+                    let p = p as u32;
+                    merge_around_portal(w, structure, &ap, p, splits.get(&p), &mut live);
+                },
+            )
+        });
     }
 
-    let mut remaining: Vec<(Region, Forest)> = live.into_iter().flatten().collect();
+    let mut remaining: Vec<Region> = live.into_iter().flatten().collect();
     assert_eq!(remaining.len(), 1, "all regions must merge into one");
-    let (region, forest) = remaining.pop().unwrap();
-    debug_assert!((0..n).all(|v| region.mask[v] == mask[v]));
-    debug_assert!((0..n).all(|v| !mask[v] || forest.member[v]));
+    let forest = remaining.pop().unwrap().forest;
+    debug_assert_eq!(forest.member, mask);
     forest
-}
-
-fn rebate_to_max(world: &mut World, spans: &[u64], reason: &str) {
-    if spans.len() > 1 {
-        let total: u64 = spans.iter().sum();
-        let max = spans.iter().copied().max().unwrap_or(0);
-        world.rebate_rounds(total - max, reason);
-    }
 }
 
 /// BFS depths of the portal tree rooted at `root`.
@@ -553,51 +471,52 @@ fn build_regions(
         }
         boundaries.sort_unstable();
         boundaries.dedup();
-        regions.push(Region { mask, boundaries });
+        regions.push(Region {
+            forest: Forest::sourceless(mask),
+            boundaries,
+        });
     }
     (regions, splits)
 }
 
-/// §5.4.2: the base-case forest of one region.
+/// §5.4.2: the base-case forest of one region. A corridor region without
+/// sources keeps its sourceless forest; its forest arrives via the merges.
 fn base_case_forest(
     world: &mut World,
     structure: &AmoebotStructure,
     ap: &AxisPortals,
-    region: &Region,
+    mut region: Region,
     src_mask: &[bool],
     pdepth: &[u32],
-) -> Forest {
-    let n = structure.len();
+) -> Region {
     // The region's Q' portals; the LCA is the one closest to R' (Lemma 53).
     let mut portals: Vec<u32> = region.boundaries.iter().map(|&(p, _)| p).collect();
     portals.sort_unstable();
     portals.dedup();
     portals.sort_by_key(|&p| pdepth[p as usize]);
+    let mask = &region.forest.member;
     let mut forest: Option<Forest> = None;
     for &p in &portals {
         let chain: Vec<usize> = ap.portals[p as usize]
             .iter()
             .copied()
-            .filter(|&v| region.mask[v])
+            .filter(|&v| mask[v])
             .collect();
         let is_source: Vec<bool> = chain.iter().map(|&v| src_mask[v]).collect();
         if !is_source.iter().any(|&b| b) {
             continue; // no sources on this portal within the region
         }
         let line = line_forest(world, &chain, &is_source);
-        let propagated = propagate_forest(world, structure, &region.mask, &chain, Axis::X, &line);
+        let propagated = propagate_forest(world, structure, mask, &chain, Axis::X, &line);
         forest = Some(match forest {
             None => propagated,
             Some(prev) => merge_forests(world, &prev, &propagated),
         });
     }
-    forest.unwrap_or_else(|| {
-        // A corridor region without sources: its forest arrives via the
-        // merge steps; represent it as an empty-source forest over the mask.
-        let mut f = Forest::empty(n);
-        f.member = region.mask.clone();
-        f
-    })
+    if let Some(forest) = forest {
+        region.forest = forest;
+    }
+    region
 }
 
 /// §5.4.3: merges all regions intersecting portal `p` into one.
@@ -607,17 +526,20 @@ fn merge_around_portal(
     ap: &AxisPortals,
     p: u32,
     splits: Option<&[Vec<usize>; 2]>,
-    live: &mut [Option<(Region, Forest)>],
+    live: &mut [Option<Region>],
 ) {
-    let n = structure.len();
     let portal_members = &ap.portals[p as usize];
-    let west_pos =
-        |mask: &[bool]| -> usize { portal_members.iter().position(|&v| mask[v]).unwrap_or(0) };
+    let west_pos = |r: &Region| -> usize {
+        portal_members
+            .iter()
+            .position(|&v| r.forest.member[v])
+            .unwrap_or(0)
+    };
 
     // Collect regions per side.
     let mut side_regions: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
     for (i, slot) in live.iter().enumerate() {
-        if let Some((region, _)) = slot {
+        if let Some(region) = slot {
             for &(bp, side) in &region.boundaries {
                 if bp == p && !side_regions[side].contains(&i) {
                     side_regions[side].push(i);
@@ -629,7 +551,7 @@ fn merge_around_portal(
     let mut side_final: [Option<usize>; 2] = [None, None];
     for side in 0..2 {
         let mut order: Vec<usize> = side_regions[side].clone();
-        order.sort_by_key(|&i| west_pos(&live[i].as_ref().unwrap().0.mask));
+        order.sort_by_key(|&i| west_pos(live[i].as_ref().unwrap()));
         if order.is_empty() {
             continue;
         }
@@ -644,37 +566,28 @@ fn merge_around_portal(
             // Termination check (1 round) + one weighted PASC iteration on
             // the portal over M (2 rounds), §5.4.3 steps 1-2.
             world.charge_rounds(3, "merge pairing: termination check + PASC parity");
-            // Odd prefix parity selects every second mark (1-based odd).
-            let selected: std::collections::BTreeSet<usize> =
-                marks.iter().copied().step_by(2).collect();
-            let mut spans = Vec::new();
-            let mut new_order = Vec::new();
-            let mut new_marks = Vec::new();
-            let mut cur = order[0];
-            for (j, &m) in marks.iter().enumerate() {
-                let east = order[j + 1];
-                if selected.contains(&m) {
-                    let s0 = world.rounds();
+            // Odd prefix parity selects every second mark (1-based odd):
+            // mark j joins regions j and j + 1 into region j.
+            let pairs: Vec<(usize, usize, usize)> = (0..marks.len())
+                .step_by(2)
+                .map(|j| (order[j], order[j + 1], marks[j]))
+                .collect();
+            world.parallel(
+                "pair merges run in parallel (Lemma 55)",
+                pairs,
+                |w, (west, east, m)| {
                     let merged = merge_pair(
-                        world,
+                        w,
                         structure,
                         portal_members[m],
-                        live[cur].take().unwrap(),
+                        live[west].take().unwrap(),
                         live[east].take().unwrap(),
                     );
-                    live[cur] = Some(merged);
-                    spans.push(world.rounds() - s0);
-                    // `cur` stays the holder of the merged region.
-                } else {
-                    new_order.push(cur);
-                    new_marks.push(m);
-                    cur = east;
-                }
-            }
-            new_order.push(cur);
-            rebate_to_max(world, &spans, "pair merges run in parallel (Lemma 55)");
-            order = new_order;
-            marks = new_marks;
+                    live[west] = Some(merged);
+                },
+            );
+            order = order.into_iter().step_by(2).collect();
+            marks = marks.into_iter().skip(1).step_by(2).collect();
         }
         side_final[side] = Some(order[0]);
     }
@@ -685,35 +598,23 @@ fn merge_around_portal(
         (None, Some(b)) => b,
         (Some(a), Some(b)) if a == b => a,
         (Some(a), Some(b)) => {
-            let (rn, fnorth) = live[a].take().unwrap();
-            let (rs, fsouth) = live[b].take().unwrap();
-            let mut union_mask = rn.mask.clone();
-            for v in 0..n {
-                union_mask[v] |= rs.mask[v];
-            }
+            let north = live[a].take().unwrap();
+            let south = live[b].take().unwrap();
             let chain: Vec<usize> = portal_members
                 .iter()
                 .copied()
-                .filter(|&v| union_mask[v])
+                .filter(|&v| north.forest.member[v] || south.forest.member[v])
                 .collect();
-            let forest = join_sides(world, structure, &union_mask, &chain, fnorth, fsouth);
-            let mut boundaries = rn.boundaries;
-            boundaries.extend(rs.boundaries);
-            boundaries.sort_unstable();
-            boundaries.dedup();
-            live[a] = Some((
-                Region {
-                    mask: union_mask,
-                    boundaries,
-                },
-                forest,
-            ));
+            // Two propagations across the portal and a merge.
+            live[a] = Some(join(world, north, south, |w, f, other| {
+                propagate_forest(w, structure, &other.member, &chain, Axis::X, f)
+            }));
             a
         }
         (None, None) => unreachable!("a scheduled portal bounds at least one region"),
     };
     // Remove p from the final region's boundary.
-    if let Some((region, _)) = live[outcome_idx].as_mut() {
+    if let Some(region) = live[outcome_idx].as_mut() {
         region.boundaries.retain(|&(bp, _)| bp != p);
     }
 }
@@ -726,98 +627,58 @@ fn merge_pair(
     world: &mut World,
     structure: &AmoebotStructure,
     m: usize,
-    west: (Region, Forest),
-    east: (Region, Forest),
-) -> (Region, Forest) {
-    let n = structure.len();
-    let (rw, fw) = west;
-    let (re, fe) = east;
-    debug_assert!(rw.mask[m] && re.mask[m], "mark belongs to both regions");
-    let mut union_mask = rw.mask.clone();
-    for v in 0..n {
-        union_mask[v] |= re.mask[v];
-    }
-    let extend = |f: &Forest, own: &Region, other: &Region, world: &mut World| -> Option<Forest> {
-        if f.sources.is_empty() {
-            return None;
-        }
-        let mut report = RoundReport::new();
-        let sub = spt_in_world(world, structure, &other.mask, m, &other.mask, &mut report);
-        let mut parents = f.parents.clone();
-        for v in 0..n {
-            if other.mask[v] && v != m && !own.mask[v] {
-                parents[v] = sub[v];
-                debug_assert!(parents[v].is_some(), "SPT must cover the paired region");
+    west: Region,
+    east: Region,
+) -> Region {
+    debug_assert!(
+        west.forest.member[m] && east.forest.member[m],
+        "mark belongs to both regions"
+    );
+    join(world, west, east, |w, f, other| {
+        let sub = spt_in_world(w, structure, &other.member, m, &other.member);
+        let mut out = f.clone();
+        for v in 0..sub.len() {
+            if other.member[v] && !f.member[v] {
+                out.member[v] = true;
+                out.parents[v] = sub[v];
+                debug_assert!(sub[v].is_some(), "SPT must cover the paired region");
             }
         }
-        let mut out = Forest::from_parents(parents, f.sources.clone());
-        for v in 0..n {
-            out.member[v] = own.mask[v] || other.mask[v];
-        }
-        Some(out)
-    };
-    let fw_ext = extend(&fw, &rw, &re, world);
-    let fe_ext = extend(&fe, &re, &rw, world);
-    let forest = match (fw_ext, fe_ext) {
-        (Some(a), Some(b)) => merge_forests(world, &a, &b),
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => {
-            let mut f = Forest::empty(n);
-            f.member = union_mask.clone();
-            f
-        }
-    };
-    let mut boundaries = rw.boundaries;
-    boundaries.extend(re.boundaries);
-    boundaries.sort_unstable();
-    boundaries.dedup();
-    (
-        Region {
-            mask: union_mask,
-            boundaries,
-        },
-        forest,
-    )
+        out
+    })
 }
 
-/// §5.4.3 phase 2: joins the two sides of a portal with two propagations
-/// and a merge (each side's region already contains the whole portal).
-fn join_sides(
+/// Joins regions `a` and `b` (§5.4.3): each forest with sources is
+/// extended over the other region by `extend(world, forest, other)`, and
+/// two extensions merge (Lemma 42). A sourceless forest only widens.
+fn join(
     world: &mut World,
-    structure: &AmoebotStructure,
-    union_mask: &[bool],
-    chain: &[usize],
-    fnorth: Forest,
-    fsouth: Forest,
-) -> Forest {
-    let n = structure.len();
-    let complete = |f: &Forest, world: &mut World| -> Option<Forest> {
-        if f.sources.is_empty() {
-            return None;
+    a: Region,
+    b: Region,
+    mut extend: impl FnMut(&mut World, &Forest, &Forest) -> Forest,
+) -> Region {
+    let (fa, fb) = (&a.forest, &b.forest);
+    let forest = match (fa.sources.is_empty(), fb.sources.is_empty()) {
+        (false, false) => {
+            let x = extend(world, fa, fb);
+            let y = extend(world, fb, fa);
+            merge_forests(world, &x, &y)
         }
-        debug_assert!(chain.iter().all(|&v| f.member[v]));
-        Some(propagate_forest(
-            world,
-            structure,
-            union_mask,
-            chain,
-            Axis::X,
-            f,
-        ))
-    };
-    let a = complete(&fnorth, world);
-    let b = complete(&fsouth, world);
-    match (a, b) {
-        (Some(x), Some(y)) => merge_forests(world, &x, &y),
-        (Some(x), None) => x,
-        (None, Some(y)) => y,
-        (None, None) => {
-            let mut f = Forest::empty(n);
-            f.member = union_mask.to_vec();
+        (false, true) => extend(world, fa, fb),
+        (true, false) => extend(world, fb, fa),
+        (true, true) => {
+            let mut f = fa.clone();
+            for (m, &o) in f.member.iter_mut().zip(&fb.member) {
+                *m |= o;
+            }
             f
         }
-    }
+    };
+    let mut boundaries = a.boundaries;
+    boundaries.extend(b.boundaries);
+    boundaries.sort_unstable();
+    boundaries.dedup();
+    Region { forest, boundaries }
 }
 
 #[cfg(test)]
@@ -835,6 +696,7 @@ mod tests {
         let out = shortest_path_forest(structure, sources, dests);
         let violations = validate_forest(structure, sources, dests, &out.parents);
         assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(out.report.total(), out.rounds);
         out
     }
 

@@ -11,10 +11,50 @@ pub mod line;
 pub mod merge;
 pub mod propagate;
 
-pub use dnc::{shortest_path_forest, ForestOutcome};
+use amoebot_circuits::{RoundReport, World};
+use amoebot_grid::NodeId;
+
+pub use dnc::shortest_path_forest;
 pub use line::line_forest;
 pub use merge::merge_forests;
 pub use propagate::propagate_forest;
+
+/// Result of the shortest path tree and forest algorithms.
+#[derive(Debug, Clone)]
+pub struct ForestOutcome {
+    /// `parents[v]` in the `(S, D)`-shortest path forest (`None` for
+    /// sources, pruned amoebots and non-members).
+    pub parents: Vec<Option<NodeId>>,
+    /// Total simulator rounds.
+    pub rounds: u64,
+    /// Total distinct beeps sent (diagnostic instrumentation of
+    /// [`World::beeps_sent`]; the model itself never counts beeps).
+    pub beeps: u64,
+    /// Per-phase breakdown ([`World::report`]).
+    pub report: RoundReport,
+}
+
+impl ForestOutcome {
+    /// The outcome of a run that computed `parents` in `world`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the world's phase ledger misses some of its rounds.
+    pub(crate) fn new(world: &World, parents: Vec<Option<NodeId>>) -> ForestOutcome {
+        let report = world.report().clone();
+        assert_eq!(
+            report.total(),
+            world.rounds(),
+            "every round belongs to a phase:\n{report}"
+        );
+        ForestOutcome {
+            parents,
+            rounds: world.rounds(),
+            beeps: world.beeps_sent(),
+            report,
+        }
+    }
+}
 
 /// An S-shortest-path forest over a region: every member either is a source
 /// (root) or knows its parent; `dist(S, v)` equals the member's tree depth.
@@ -29,11 +69,12 @@ pub struct Forest {
 }
 
 impl Forest {
-    /// An empty forest over `n` nodes.
-    pub fn empty(n: usize) -> Forest {
+    /// A forest without sources over the region `member`: a region
+    /// whose forest has yet to arrive through merges.
+    pub fn sourceless(member: Vec<bool>) -> Forest {
         Forest {
-            member: vec![false; n],
-            parents: vec![None; n],
+            parents: vec![None; member.len()],
+            member,
             sources: Vec::new(),
         }
     }

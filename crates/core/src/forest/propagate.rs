@@ -24,14 +24,14 @@ use crate::links::{BROADCAST, BWD_PRIMARY, FWD_PRIMARY, FWD_SECONDARY, SYNC};
 use crate::portals::axis_portals;
 use crate::spt::spt_in_world;
 
-/// Propagates `forest` (covering `A ∪ P` inside `region`) into the rest of
-/// `region` across the portal given by `portal_nodes` (an axis-`axis` portal
-/// of the region). Returns an S-forest covering all of `region`.
+/// Propagates `forest` (covering `A ∪ P`) across the portal given by
+/// `portal_nodes` (an axis-`axis` portal) into the amoebots of `region` it
+/// does not cover yet (the side `B`). Returns an S-forest covering the
+/// forest's members and all of `region`.
 ///
 /// # Panics
 ///
-/// Panics if the portal nodes are not forest members or the forest covers
-/// nodes outside the region.
+/// Panics if the portal nodes are not forest members.
 pub fn propagate_forest(
     world: &mut World,
     structure: &AmoebotStructure,
@@ -42,7 +42,6 @@ pub fn propagate_forest(
 ) -> Forest {
     let n = structure.len();
     debug_assert!(portal_nodes.iter().all(|&p| forest.member[p]));
-    debug_assert!((0..n).all(|v| !forest.member[v] || region[v]));
     let mut in_portal = vec![false; n];
     for &p in portal_nodes {
         in_portal[p] = true;
@@ -187,8 +186,7 @@ pub fn propagate_forest(
     }
 
     // --- Phase 2: components of B'' (Lemmas 48/49), one SPT each, run in
-    // parallel (disjoint regions; sequential simulation is rebated to the
-    // maximum span).
+    // parallel (disjoint regions).
     let b2: Vec<bool> = (0..n)
         .map(|v| b_mask[v] && !visible[v][0] && !visible[v][1])
         .collect();
@@ -220,59 +218,51 @@ pub fn propagate_forest(
         let c = structure.coord(NodeId(v as u32));
         ((key_p - axis.line_key(c)).abs(), axis.along(c))
     };
-    let mut spans = Vec::new();
-    for members in &comps {
-        let start_rounds = world.rounds();
-        // s_Z: the member adjacent to B' closest to P ("northernmost"),
-        // ties broken westward; its parent: its closest-to-P neighbor in B'.
-        let s_z = members
-            .iter()
-            .copied()
-            .filter(|&z| {
-                ALL_DIRECTIONS.iter().any(|&d| {
-                    structure
-                        .neighbor(NodeId(z as u32), d)
-                        .is_some_and(|w| b_mask[w.index()] && !b2[w.index()])
+    world.parallel(
+        "phase-2 SPTs on disjoint B'' components run in parallel",
+        &comps,
+        |world, members| {
+            // s_Z: the member adjacent to B' closest to P ("northernmost"),
+            // ties broken westward; its parent: its closest-to-P neighbor in B'.
+            let s_z = members
+                .iter()
+                .copied()
+                .filter(|&z| {
+                    ALL_DIRECTIONS.iter().any(|&d| {
+                        structure
+                            .neighbor(NodeId(z as u32), d)
+                            .is_some_and(|w| b_mask[w.index()] && !b2[w.index()])
+                    })
                 })
-            })
-            .min_by_key(|&z| toward_metric(z))
-            .expect("every B'' component borders B'");
-        let parent_of_sz = ALL_DIRECTIONS
-            .iter()
-            .filter_map(|&d| structure.neighbor(NodeId(s_z as u32), d))
-            .map(|w| w.index())
-            .filter(|&w| b_mask[w] && !b2[w])
-            .min_by_key(|&w| toward_metric(w))
-            .expect("s_Z borders B'");
-        parents[s_z] = Some(parent_of_sz);
-        if members.len() > 1 {
-            let mut z_mask = vec![false; n];
-            for &m in members {
-                z_mask[m] = true;
-            }
-            let mut report = amoebot_circuits::RoundReport::new();
-            let sub_parents = spt_in_world(world, structure, &z_mask, s_z, &z_mask, &mut report);
-            for &m in members {
-                if m != s_z {
-                    parents[m] = sub_parents[m];
-                    debug_assert!(parents[m].is_some(), "SPT must cover the component");
+                .min_by_key(|&z| toward_metric(z))
+                .expect("every B'' component borders B'");
+            let parent_of_sz = ALL_DIRECTIONS
+                .iter()
+                .filter_map(|&d| structure.neighbor(NodeId(s_z as u32), d))
+                .map(|w| w.index())
+                .filter(|&w| b_mask[w] && !b2[w])
+                .min_by_key(|&w| toward_metric(w))
+                .expect("s_Z borders B'");
+            parents[s_z] = Some(parent_of_sz);
+            if members.len() > 1 {
+                let mut z_mask = vec![false; n];
+                for &m in members {
+                    z_mask[m] = true;
+                }
+                let sub_parents = spt_in_world(world, structure, &z_mask, s_z, &z_mask);
+                for &m in members {
+                    if m != s_z {
+                        parents[m] = sub_parents[m];
+                        debug_assert!(parents[m].is_some(), "SPT must cover the component");
+                    }
                 }
             }
-        }
-        spans.push(world.rounds() - start_rounds);
-    }
-    if spans.len() > 1 {
-        let total: u64 = spans.iter().sum();
-        let max = spans.iter().copied().max().unwrap_or(0);
-        world.rebate_rounds(
-            total - max,
-            "phase-2 SPTs on disjoint B'' components run in parallel",
-        );
-    }
+        },
+    );
 
     let mut out = Forest::from_parents(parents, forest.sources.clone());
     for v in 0..n {
-        out.member[v] = region[v] && (forest.member[v] || b_mask[v]);
+        out.member[v] = forest.member[v] || b_mask[v];
     }
     out
 }

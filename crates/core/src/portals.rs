@@ -822,9 +822,10 @@ pub fn portal_centroids(
 ///
 /// Executed on the portal quotient graph with the node-level decomposition
 /// primitive — Lemma 32 establishes that every ETT pass on the implicit
-/// portal tree computes exactly the quotient values, and the per-recursion
-/// dissemination steps are O(1) portal-circuit rounds; the quotient rounds
-/// plus those dissemination rounds are charged to `world`.
+/// portal tree computes exactly the quotient values. The quotient rounds
+/// are charged to `world` once and returned as the decomposition's
+/// `rounds`: a caller that replays the decomposition level by level
+/// (§5.4.4) charges them again per level.
 pub fn portal_centroid_decomposition(
     world: &mut World,
     ap: &AxisPortals,
@@ -848,8 +849,8 @@ pub fn portal_centroid_decomposition(
     let qtree = crate::tree::Tree::from_edges(ap.portals.len(), root_portal as usize, &edges);
     let d = crate::primitives::decomposition::centroid_decomposition(&mut qworld, &qtree, q_prime);
     world.charge_rounds(
-        qworld.rounds() + 2 * d.levels as u64,
-        "portal centroid decomposition via quotient (Lemmas 32, 37)",
+        d.rounds,
+        "portal centroid decomposition on the quotient (Lemma 37)",
     );
     d
 }

@@ -21,6 +21,8 @@ pub struct Decomposition {
     pub dt_parent: Vec<Option<usize>>,
     /// Number of recursion levels executed (Lemma 30: `O(log |Q|)`).
     pub levels: u32,
+    /// Rounds the decomposition took in its world.
+    pub rounds: u64,
 }
 
 impl Decomposition {
@@ -46,6 +48,7 @@ impl Decomposition {
 /// Panics if `q_prime ∩ tree` is empty.
 pub fn centroid_decomposition(world: &mut World, tree: &Tree, q_prime: &[bool]) -> Decomposition {
     let n = world.topology().len();
+    let start = world.rounds();
     assert!(
         tree.members.iter().any(|&v| q_prime[v]),
         "Q' must be non-empty"
@@ -136,6 +139,7 @@ pub fn centroid_decomposition(world: &mut World, tree: &Tree, q_prime: &[bool]) 
         level,
         dt_parent,
         levels: depth,
+        rounds: world.rounds() - start,
     }
 }
 

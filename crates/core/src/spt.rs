@@ -13,32 +13,18 @@
 //! destinations. SPSP (`ℓ = 1`) is `O(1)` and SSSP (`ℓ = n`) is `O(log n)`
 //! as special cases.
 
-use amoebot_circuits::{RoundReport, Topology, World};
+use amoebot_circuits::{Topology, World};
 use amoebot_grid::{AmoebotStructure, NodeId, ALL_AXES, ALL_DIRECTIONS};
 
+use crate::forest::ForestOutcome;
 use crate::links::LINKS;
 use crate::portals::{axis_portals, mark_portals, portal_root_and_prune};
 use crate::primitives::root_prune::root_and_prune;
 use crate::tree::Tree;
 
-/// Result of the shortest path tree algorithm.
-#[derive(Debug, Clone)]
-pub struct SptOutcome {
-    /// `parents[v]` — the parent of `v` in the `({s}, D)`-shortest path
-    /// forest; `None` for `s`, for non-members, and for amoebots pruned in
-    /// the final cleanup.
-    pub parents: Vec<Option<NodeId>>,
-    /// Total simulator rounds consumed.
-    pub rounds: u64,
-    /// Total distinct beeps sent (diagnostic instrumentation of
-    /// [`World::beeps_sent`]; the model itself never counts beeps).
-    pub beeps: u64,
-    /// Per-phase round breakdown.
-    pub report: RoundReport,
-}
-
 /// Computes a `({source}, dests)`-shortest path forest on a fresh world
-/// (Theorem 39, `O(log ℓ)` rounds).
+/// (Theorem 39, `O(log ℓ)` rounds). The outcome's parents are `None` for
+/// `s`, for non-members, and for amoebots pruned in the final cleanup.
 ///
 /// # Panics
 ///
@@ -47,7 +33,7 @@ pub fn shortest_path_tree(
     structure: &AmoebotStructure,
     source: NodeId,
     dests: &[NodeId],
-) -> SptOutcome {
+) -> ForestOutcome {
     assert!(!dests.is_empty(), "D must be non-empty");
     let mut world = World::new(Topology::from_structure(structure), LINKS);
     let mask = vec![true; structure.len()];
@@ -55,33 +41,21 @@ pub fn shortest_path_tree(
     for &d in dests {
         dest_mask[d.index()] = true;
     }
-    let mut report = RoundReport::new();
-    let parents = spt_in_world(
-        &mut world,
-        structure,
-        &mask,
-        source.index(),
-        &dest_mask,
-        &mut report,
-    );
-    SptOutcome {
-        parents: parents
-            .into_iter()
-            .map(|p| p.map(|v| NodeId(v as u32)))
-            .collect(),
-        rounds: world.rounds(),
-        beeps: world.beeps_sent(),
-        report,
-    }
+    let parents = spt_in_world(&mut world, structure, &mask, source.index(), &dest_mask);
+    let parents = parents
+        .into_iter()
+        .map(|p| p.map(|v| NodeId(v as u32)))
+        .collect();
+    ForestOutcome::new(&world, parents)
 }
 
 /// Solves the single pair shortest path problem (SPSP, `k = ℓ = 1`).
-pub fn spsp(structure: &AmoebotStructure, source: NodeId, target: NodeId) -> SptOutcome {
+pub fn spsp(structure: &AmoebotStructure, source: NodeId, target: NodeId) -> ForestOutcome {
     shortest_path_tree(structure, source, &[target])
 }
 
 /// Solves the single source shortest path problem (SSSP, `ℓ = n`).
-pub fn sssp(structure: &AmoebotStructure, source: NodeId) -> SptOutcome {
+pub fn sssp(structure: &AmoebotStructure, source: NodeId) -> ForestOutcome {
     let all: Vec<NodeId> = structure.nodes().collect();
     shortest_path_tree(structure, source, &all)
 }
@@ -96,7 +70,6 @@ pub fn spt_in_world(
     mask: &[bool],
     source: usize,
     dest_mask: &[bool],
-    report: &mut RoundReport,
 ) -> Vec<Option<usize>> {
     let n = structure.len();
     assert!(mask[source], "source must lie in the region");
@@ -108,15 +81,13 @@ pub fn spt_in_world(
     // Phase 1-3: portal root-and-prune per axis (rooted at the source's
     // portal, Q = destination portals).
     let mut feasible = vec![[true; 6]; n]; // and-accumulated across axes
+    let flags: Vec<bool> = (0..n).map(|v| mask[v] && dest_mask[v]).collect();
     for axis in ALL_AXES {
-        let start = world.rounds();
         let ap = axis_portals(structure, mask, axis);
-        let q_portals = {
-            let flags: Vec<bool> = (0..n).map(|v| mask[v] && dest_mask[v]).collect();
-            mark_portals(world, structure, mask, &ap, &flags)
-        };
-        let root_portal = ap.portal_of[source];
-        let prp = portal_root_and_prune(world, structure, mask, &ap, root_portal, &q_portals);
+        let prp = world.phase(format!("portal root-and-prune ({axis}-axis)"), |w| {
+            let q_portals = mark_portals(w, structure, mask, &ap, &flags);
+            portal_root_and_prune(w, structure, mask, &ap, ap.portal_of[source], &q_portals)
+        });
         // A neighbor via direction d contributes to Equation (1) through
         // this axis iff d is parallel to the axis (same portal, difference
         // 0) or points into the parent portal (difference +1).
@@ -129,10 +100,6 @@ pub fn spt_in_world(
                 feasible[v][d.index()] &= ok;
             }
         }
-        report.record(
-            format!("portal root-and-prune ({axis}-axis)"),
-            world.rounds() - start,
-        );
     }
 
     // Parent choice (Equation 1 / Lemma 38): local, no communication.
@@ -157,7 +124,6 @@ pub fn spt_in_world(
     // Phase 4: cleanup. Components not containing s never receive a signal
     // and prune themselves; the tree of s is rooted at s and pruned with
     // Q = D (Theorem 39's fourth root-and-prune execution).
-    let start = world.rounds();
     let mut comp = vec![false; n];
     comp[source] = true;
     // Children adjacency of the chosen-parent graph, in CSR form: two
@@ -195,8 +161,9 @@ pub fn spt_in_world(
     }
     let tree = Tree::from_edges(n, source, &edges);
     let q: Vec<bool> = (0..n).map(|v| comp[v] && dest_mask[v]).collect();
-    let rp = root_and_prune(world, std::slice::from_ref(&tree), &q);
-    report.record("final root-and-prune (cleanup)", world.rounds() - start);
+    let rp = world.phase("final root-and-prune (cleanup)", |w| {
+        root_and_prune(w, std::slice::from_ref(&tree), &q)
+    });
 
     (0..n)
         .map(|v| {
@@ -218,10 +185,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn check_spt(structure: &AmoebotStructure, source: NodeId, dests: &[NodeId]) -> SptOutcome {
+    fn check_spt(structure: &AmoebotStructure, source: NodeId, dests: &[NodeId]) -> ForestOutcome {
         let out = shortest_path_tree(structure, source, dests);
         let violations = validate_forest(structure, &[source], dests, &out.parents);
         assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(out.report.total(), out.rounds);
         out
     }
 

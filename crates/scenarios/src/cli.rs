@@ -11,13 +11,11 @@
 //! scenario-runner replay PATH
 //! ```
 //!
-//! The flat-flag spellings (`--sweep`, `--record-trace PATH`,
-//! `--replay-trace PATH`, or a bare flag list for a batch run) remain
-//! accepted as **deprecated aliases** for one release; they print a
-//! deprecation note to the diagnostic stream and behave identically,
-//! including the exit-code contract (`0` pass / `1` validation failure /
-//! `2` usage or I/O error). The `serve` mode lives in the separate
-//! `scenario-server` binary, built from the same parsing helpers.
+//! The subcommand comes first; a missing subcommand or an unknown flag
+//! prints the usage text and exits `2` (`--help` alone exits `0`). The
+//! exit-code contract is `0` pass / `1` validation failure / `2` usage or
+//! I/O error. The `serve` mode lives in the separate `scenario-server`
+//! binary, built from the same parsing helpers.
 //!
 //! Every scenario is derived deterministically from `--seed`, executed in
 //! parallel across `--threads` workers (each scenario owns its simulator
@@ -26,7 +24,7 @@
 //! `--no-timing` the report is canonical: byte-identical across runs and
 //! thread counts for the same seed.
 //!
-//! `--sweep` switches to the size-sweep mode: every sweepable family runs
+//! `sweep` switches to the size-sweep mode: every sweepable family runs
 //! across the geometric ladder 1k → 10k → 100k → 1M (clipped by
 //! `--max-nodes` and per-family ceilings) and the report carries
 //! per-(family, size) throughput — the `BENCH_sweep.json` the CI perf
@@ -39,9 +37,9 @@
 //! `--no-timing` it is canonical (counters and gauges only, timers
 //! stripped).
 //!
-//! `--record-trace PATH` records a single scenario (`--family`, `--size`,
+//! `trace PATH` records a single scenario (`--family`, `--size`,
 //! `--seed`; blob-broadcast families only) as a compact binary round
-//! trace; `--replay-trace PATH` re-verifies such a trace against the live
+//! trace; `replay PATH` re-verifies such a trace against the live
 //! engine, failing loudly with the round and event index of the first
 //! divergence.
 //!
@@ -95,8 +93,7 @@ struct Args {
     timing: bool,
     list: bool,
     quiet: bool,
-    sweep: bool,
-    profile: bool,
+    mode: Mode,
     max_nodes: usize,
     checkpoint_dir: Option<String>,
     flight_dir: String,
@@ -109,8 +106,6 @@ const USAGE: &str = "usage: scenario-runner run    [--seed N] [--count N] [--thr
      \x20      scenario-runner profile [--max-nodes N] [common flags]\n\
      \x20      scenario-runner trace  PATH [--family NAME] [--size N] [--seed N]\n\
      \x20      scenario-runner replay PATH\n\
-     \x20      (the old flat-flag spellings --sweep / --record-trace / --replay-trace\n\
-     \x20       remain accepted as deprecated aliases)\n\
      \n\
      --seed N       master seed for the randomized suite (default 42)\n\
      --count N      number of scenarios to run (default 20)\n\
@@ -165,6 +160,27 @@ enum Mode {
 }
 
 fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
+    // The leading bare word selects the subcommand.
+    let mode = match argv.first().map(String::as_str) {
+        Some("run") => Mode::Batch,
+        Some("sweep") => Mode::Sweep,
+        Some("profile") => Mode::Profile,
+        Some("replay") => Mode::Replay,
+        Some("trace") => Mode::Trace,
+        Some("--help" | "-h") if argv.len() == 1 => {
+            // Requested help is a success, not a usage error.
+            println!("{USAGE}");
+            return ParseOutcome::Exit(0);
+        }
+        _ => {
+            let _ = writeln!(
+                out,
+                "expected a subcommand: run, sweep, profile, trace or replay"
+            );
+            let _ = writeln!(out, "{USAGE}");
+            return ParseOutcome::Exit(2);
+        }
+    };
     let mut args = Args {
         seed: 42,
         count: 20,
@@ -179,29 +195,13 @@ fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
         timing: true,
         list: false,
         quiet: false,
-        sweep: false,
-        profile: false,
+        mode,
         max_nodes: 1_000_000,
         checkpoint_dir: None,
         flight_dir: "flight-records".to_string(),
         no_flight: false,
     };
-    // A leading bare word selects the subcommand; absent one, the flat
-    // flags below choose the mode (the deprecated spelling).
-    let (mode, rest) = match argv.first().map(String::as_str) {
-        Some("run") => (Some(Mode::Batch), &argv[1..]),
-        Some("sweep") => (Some(Mode::Sweep), &argv[1..]),
-        Some("profile") => (Some(Mode::Profile), &argv[1..]),
-        Some("replay") => (Some(Mode::Replay), &argv[1..]),
-        Some("trace") => (Some(Mode::Trace), &argv[1..]),
-        _ => (None, argv),
-    };
-    if let Some(m) = mode {
-        args.sweep = m == Mode::Sweep;
-        args.profile = m == Mode::Profile;
-    }
-    let mut deprecated: Option<&str> = None;
-    let mut it = rest.iter();
+    let mut it = argv[1..].iter();
     while let Some(arg) = it.next() {
         macro_rules! value {
             ($name:literal) => {
@@ -229,19 +229,6 @@ fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
                 }
             }};
         }
-        // A mode-selecting flat flag under an explicit subcommand is a
-        // contradiction, not an alias; reject rather than guess.
-        macro_rules! mode_flag {
-            ($name:literal) => {
-                if mode.is_some() {
-                    let _ = writeln!(out, "{} conflicts with the subcommand form", $name);
-                    let _ = writeln!(out, "{USAGE}");
-                    return ParseOutcome::Exit(2);
-                } else {
-                    deprecated = Some($name);
-                }
-            };
-        }
         match arg.as_str() {
             "--seed" => args.seed = num!("--seed"),
             "--count" => args.count = num!("--count"),
@@ -249,23 +236,11 @@ fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
             "--family" => args.families.push(value!("--family")),
             "--out" => args.out = Some(value!("--out")),
             "--metrics-json" => args.metrics_json = Some(value!("--metrics-json")),
-            "--record-trace" => {
-                args.record_trace = Some(value!("--record-trace"));
-                mode_flag!("--record-trace");
-            }
-            "--replay-trace" => {
-                args.replay_trace = Some(value!("--replay-trace"));
-                mode_flag!("--replay-trace");
-            }
             "--size" => args.size = num!("--size"),
             "--rounds" => args.rounds = Some(num!("--rounds")),
             "--no-timing" => args.timing = false,
             "--list" => args.list = true,
             "--quiet" => args.quiet = true,
-            "--sweep" => {
-                args.sweep = true;
-                mode_flag!("--sweep");
-            }
             "--max-nodes" => args.max_nodes = num!("--max-nodes"),
             "--checkpoint-dir" => args.checkpoint_dir = Some(value!("--checkpoint-dir")),
             "--flight-dir" => args.flight_dir = value!("--flight-dir"),
@@ -278,8 +253,8 @@ fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
             other => {
                 // `replay PATH` / `trace PATH` take one positional path.
                 let positional_slot = match mode {
-                    Some(Mode::Replay) if !other.starts_with('-') => Some(&mut args.replay_trace),
-                    Some(Mode::Trace) if !other.starts_with('-') => Some(&mut args.record_trace),
+                    Mode::Replay if !other.starts_with('-') => Some(&mut args.replay_trace),
+                    Mode::Trace if !other.starts_with('-') => Some(&mut args.record_trace),
                     _ => None,
                 };
                 match positional_slot {
@@ -294,25 +269,17 @@ fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
         }
     }
     match mode {
-        Some(Mode::Replay) if args.replay_trace.is_none() => {
+        Mode::Replay if args.replay_trace.is_none() => {
             let _ = writeln!(out, "replay needs a trace path");
             let _ = writeln!(out, "{USAGE}");
             return ParseOutcome::Exit(2);
         }
-        Some(Mode::Trace) if args.record_trace.is_none() => {
+        Mode::Trace if args.record_trace.is_none() => {
             let _ = writeln!(out, "trace needs an output path");
             let _ = writeln!(out, "{USAGE}");
             return ParseOutcome::Exit(2);
         }
         _ => {}
-    }
-    if let Some(flag) = deprecated {
-        // One-release alias: same behavior, same exit codes, but say so
-        // on the diagnostic stream (never into a report).
-        let _ = writeln!(
-            out,
-            "note: {flag} is deprecated; use the subcommand form (see --help)"
-        );
     }
     // Sized builds feed `--size` straight into the blob generators, whose
     // smallest structure is one amoebot; reject the bad input here with a
@@ -464,11 +431,10 @@ pub fn run_with_output(argv: &[String], out: &mut dyn Write) -> u8 {
     }
 
     let threads = args.threads.resolve();
-    if args.sweep {
-        return run_sweep_mode(&args, &registry, threads, out);
-    }
-    if args.profile {
-        return run_profile_mode(&args, &registry, threads, out);
+    match args.mode {
+        Mode::Sweep => return run_sweep_mode(&args, &registry, threads, out),
+        Mode::Profile => return run_profile_mode(&args, &registry, threads, out),
+        _ => {}
     }
 
     let scenarios = registry.random_suite(args.seed, args.count, &args.families);
@@ -761,7 +727,7 @@ fn run_profile_mode(args: &Args, registry: &Registry, threads: usize, out: &mut 
     u8::from(failed > 0)
 }
 
-/// `--record-trace PATH`: run one sized scenario with the trace recorder
+/// `trace PATH`: run one sized scenario with the trace recorder
 /// attached and persist the binary round trace.
 fn run_record_mode(args: &Args, registry: &Registry, out: &mut dyn Write) -> u8 {
     let path = args.record_trace.as_deref().expect("record mode");
@@ -771,7 +737,7 @@ fn run_record_mode(args: &Args, registry: &Registry, out: &mut dyn Write) -> u8 
         _ => {
             let _ = writeln!(
                 out,
-                "--record-trace records a single scenario; pass at most one --family"
+                "trace records a single scenario; pass at most one --family"
             );
             return 2;
         }
@@ -847,7 +813,7 @@ fn run_record_mode(args: &Args, registry: &Registry, out: &mut dyn Write) -> u8 
     u8::from(!result.pass)
 }
 
-/// `--replay-trace PATH`: re-verify a recorded round trace against the
+/// `replay PATH`: re-verify a recorded round trace against the
 /// live engine. Exit 0 on a clean verification, 1 on divergence or a
 /// malformed trace (the message carries the round and event index), 2 on
 /// I/O errors.
@@ -955,6 +921,7 @@ mod tests {
     #[test]
     fn failing_scenario_propagates_nonzero_exit() {
         let code = run(&args(&[
+            "run",
             "--family",
             "selftest-fail",
             "--count",
@@ -970,6 +937,7 @@ mod tests {
     #[test]
     fn passing_batch_exits_zero() {
         let code = run(&args(&[
+            "run",
             "--seed",
             "5",
             "--count",
@@ -984,22 +952,38 @@ mod tests {
 
     #[test]
     fn bad_flags_exit_two() {
-        assert_eq!(run(&args(&["--bogus"])), 2);
-        assert_eq!(run(&args(&["--seed", "abc"])), 2);
-        assert_eq!(run(&args(&["--seed"])), 2);
-        assert_eq!(run(&args(&["--family", "no-such-family"])), 2);
+        assert_eq!(run(&args(&["run", "--bogus"])), 2);
+        assert_eq!(run(&args(&["run", "--seed", "abc"])), 2);
+        assert_eq!(run(&args(&["run", "--seed"])), 2);
+        assert_eq!(run(&args(&["run", "--family", "no-such-family"])), 2);
+        // A missing subcommand and the retired flat-flag spellings are
+        // usage errors that print the usage text.
+        for argv in [
+            &[][..],
+            &["--bogus"],
+            &["--seed", "42", "--count", "2"],
+            &["--list"],
+            &["--sweep", "--max-nodes", "1000"],
+            &["--record-trace", "x.trace"],
+            &["--replay-trace", "x.trace"],
+        ] {
+            let (code, output) = run_captured(argv);
+            assert_eq!(code, 2, "{argv:?}");
+            assert!(output.contains("usage:"), "{argv:?}: {output:?}");
+        }
     }
 
     #[test]
     fn requested_help_exits_zero() {
         assert_eq!(run(&args(&["--help"])), 0);
         assert_eq!(run(&args(&["-h"])), 0);
+        assert_eq!(run(&args(&["run", "--help"])), 0);
     }
 
     #[test]
     fn tiny_sweep_exits_zero() {
         let code = run(&args(&[
-            "--sweep",
+            "sweep",
             "--max-nodes",
             "1000",
             "--family",
@@ -1014,7 +998,7 @@ mod tests {
 
     #[test]
     fn sweep_with_no_rungs_exits_two() {
-        let code = run(&args(&["--sweep", "--family", "selftest-fail", "--quiet"]));
+        let code = run(&args(&["sweep", "--family", "selftest-fail", "--quiet"]));
         assert_eq!(code, 2);
     }
 
@@ -1023,7 +1007,7 @@ mod tests {
     #[test]
     fn quiet_sweep_still_prints_the_summary() {
         let (code, output) = run_captured(&[
-            "--sweep",
+            "sweep",
             "--max-nodes",
             "1000",
             "--family",
@@ -1048,6 +1032,7 @@ mod tests {
     #[test]
     fn quiet_batch_still_prints_fail_lines_and_summary() {
         let (code, output) = run_captured(&[
+            "run",
             "--family",
             "selftest-fail",
             "--count",
@@ -1075,7 +1060,7 @@ mod tests {
         let trace = temp_path("trace.bin");
         let trace_s = trace.to_str().unwrap();
         let (code, output) = run_captured(&[
-            "--record-trace",
+            "trace",
             trace_s,
             "--family",
             "blob-broadcast",
@@ -1086,7 +1071,7 @@ mod tests {
             "--quiet",
         ]);
         assert_eq!(code, 0, "recording failed: {output}");
-        let (code, output) = run_captured(&["--replay-trace", trace_s]);
+        let (code, output) = run_captured(&["replay", trace_s]);
         assert_eq!(code, 0, "replay failed: {output}");
         assert!(output.contains("replay ok"), "{output:?}");
 
@@ -1096,7 +1081,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&trace, &bytes).unwrap();
-        let (code, output) = run_captured(&["--replay-trace", trace_s]);
+        let (code, output) = run_captured(&["replay", trace_s]);
         assert_eq!(code, 1, "corrupted trace verified cleanly: {output}");
         assert!(
             output.contains("round") && output.contains("event"),
@@ -1105,14 +1090,13 @@ mod tests {
         let _ = std::fs::remove_file(&trace);
     }
 
-    /// Regression: `--record-trace … --size 0` used to reach
+    /// Regression: `trace … --size 0` used to reach
     /// `random_blob`'s `assert!(n >= 1)` and panic; user input must come
     /// back as a usage diagnostic under the 0/1/2 exit-code contract.
     #[test]
     fn size_zero_is_a_usage_error_not_a_panic() {
         let trace = temp_path("size-zero.bin");
-        let (code, output) =
-            run_captured(&["--record-trace", trace.to_str().unwrap(), "--size", "0"]);
+        let (code, output) = run_captured(&["trace", trace.to_str().unwrap(), "--size", "0"]);
         assert_eq!(code, 2);
         assert!(
             output.contains("--size") && output.contains("at least 1"),
@@ -1123,7 +1107,7 @@ mod tests {
 
     #[test]
     fn replaying_a_missing_file_exits_two() {
-        let (code, output) = run_captured(&["--replay-trace", "/no/such/trace.bin"]);
+        let (code, output) = run_captured(&["replay", "/no/such/trace.bin"]);
         assert_eq!(code, 2);
         assert!(output.contains("cannot read"), "{output:?}");
     }
@@ -1132,7 +1116,7 @@ mod tests {
     fn recording_an_unrecordable_family_exits_two() {
         let trace = temp_path("unrecordable.bin");
         let (code, output) = run_captured(&[
-            "--record-trace",
+            "trace",
             trace.to_str().unwrap(),
             "--family",
             "selftest-fail",
@@ -1148,6 +1132,7 @@ mod tests {
         let path = temp_path("metrics.json");
         let path_s = path.to_str().unwrap();
         let (code, _) = run_captured(&[
+            "run",
             "--family",
             "blob-broadcast",
             "--count",
@@ -1166,6 +1151,7 @@ mod tests {
         assert!(!canonical.contains("timers"));
 
         let (code, _) = run_captured(&[
+            "run",
             "--family",
             "blob-broadcast",
             "--count",
@@ -1194,6 +1180,7 @@ mod tests {
         let b = temp_path("metrics-b.json");
         for (path, threads) in [(&a, "1"), (&b, "4")] {
             let (code, _) = run_captured(&[
+                "run",
                 "--seed",
                 "21",
                 "--count",
@@ -1246,62 +1233,6 @@ mod tests {
         let passing = run_scenario(&registry.get("blob-broadcast").unwrap().build(5));
         assert!(passing.pass);
         assert!(!batch_line(&passing).contains("seed="));
-    }
-
-    /// Satellite: the subcommand spellings and their flat-flag aliases
-    /// produce identical reports and exit codes; only the alias prints a
-    /// deprecation note.
-    #[test]
-    fn subcommands_match_their_deprecated_aliases() {
-        let new_out = temp_path("sub-new.json");
-        let old_out = temp_path("sub-old.json");
-        let common = [
-            "--max-nodes",
-            "1000",
-            "--family",
-            "blob-broadcast",
-            "--seed",
-            "77",
-            "--quiet",
-            "--no-timing",
-        ];
-        let mut new_args = vec!["sweep"];
-        new_args.extend_from_slice(&common);
-        new_args.extend_from_slice(&["--out", new_out.to_str().unwrap()]);
-        let (code, output) = run_captured(&new_args);
-        assert_eq!(code, 0);
-        assert!(
-            !output.contains("deprecated"),
-            "subcommand form must not warn: {output}"
-        );
-        let mut old_args = vec!["--sweep"];
-        old_args.extend_from_slice(&common);
-        old_args.extend_from_slice(&["--out", old_out.to_str().unwrap()]);
-        let (code, output) = run_captured(&old_args);
-        assert_eq!(code, 0);
-        assert!(
-            output.contains("deprecated"),
-            "flat-flag form must warn: {output}"
-        );
-        assert_eq!(
-            std::fs::read_to_string(&new_out).unwrap(),
-            std::fs::read_to_string(&old_out).unwrap(),
-            "both spellings must render the same report"
-        );
-        let _ = std::fs::remove_file(&new_out);
-        let _ = std::fs::remove_file(&old_out);
-        // `run` is the explicit spelling of the default batch mode.
-        assert_eq!(
-            run(&args(&[
-                "run",
-                "--count",
-                "2",
-                "--quiet",
-                "--out",
-                "/dev/null"
-            ])),
-            0
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! The `scenario-runner` binary is the CLI front end:
 //!
 //! ```text
-//! cargo run --release --bin scenario-runner -- --seed 42 --count 20
+//! cargo run --release --bin scenario-runner -- run --seed 42 --count 20
 //! ```
 //!
 //! # Example

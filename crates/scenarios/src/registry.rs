@@ -5,7 +5,7 @@
 //! entropy, randomized families use it to draw structures, placements and
 //! algorithm parameters. [`Registry::random_suite`] derives a reproducible
 //! batch of scenarios from a single master seed by cycling through the
-//! randomized families; this is what `scenario-runner --seed N --count M`
+//! randomized families; this is what `scenario-runner run --seed N --count M`
 //! executes.
 
 use amoebot_grid::random::ALL_PLACEMENTS;
@@ -24,7 +24,7 @@ pub struct Family {
     /// randomized families participate in [`Registry::random_suite`].
     pub randomized: bool,
     /// Largest structure size at which this family participates in
-    /// `--sweep` size ladders (`0` = not sweepable). Ceilings are set per
+    /// `sweep` size ladders (`0` = not sweepable). Ceilings are set per
     /// family because algorithm costs diverge by orders of magnitude: the
     /// global-circuit broadcast sweeps to 10^6 nodes in seconds while the
     /// DnC forest is capped where a single run stays within the CI budget.
@@ -109,7 +109,7 @@ impl Registry {
     }
 
     /// Registers a family that additionally supports size-parameterized
-    /// builds for `--sweep`, up to `sweep_max_n` nodes.
+    /// builds for `sweep`, up to `sweep_max_n` nodes.
     ///
     /// # Panics
     ///

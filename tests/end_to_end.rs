@@ -164,7 +164,6 @@ fn charge_log_reconciles_for_real_algorithm_runs() {
     // The audit invariant holds across a full algorithm run, not just for
     // hand-driven worlds: every non-simulated adjustment of the round
     // counter is a signed log entry, so the books always balance.
-    use spf::circuits::RoundReport;
     use spf::core::spt::spt_in_world;
 
     let structure = AmoebotStructure::new(shapes::hexagon(5)).unwrap();
@@ -172,8 +171,7 @@ fn charge_log_reconciles_for_real_algorithm_runs() {
     let mut world = World::new(Topology::from_structure(&structure), 6);
     let mask = vec![true; n];
     let dest_mask = vec![true; n];
-    let mut report = RoundReport::new();
-    let parents = spt_in_world(&mut world, &structure, &mask, 0, &dest_mask, &mut report);
+    let parents = spt_in_world(&mut world, &structure, &mask, 0, &dest_mask);
     assert!(parents.iter().filter(|p| p.is_some()).count() > 0);
 
     let log_sum: i64 = world.charge_log().iter().map(|&(_, k)| k).sum();

@@ -1,7 +1,7 @@
 //! `cargo xtask` — repo automation around `BENCH_sweep.json`.
 //!
 //! Three subcommands, all over the sweep-report schema
-//! (`spf-sweep-report/v1`) that `scenario-runner --sweep` emits:
+//! (`spf-sweep-report/v1`) that `scenario-runner sweep` emits:
 //!
 //! * `bench-report OLD NEW` — pretty-prints a per-(family, size)
 //!   throughput diff between two sweep reports as a markdown table, for
@@ -101,7 +101,7 @@ fn rungs_from_doc(doc: &Json, path: &str) -> Result<Vec<Rung>, String> {
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
     if schema != SWEEP_SCHEMA {
         return Err(format!(
-            "{path}: schema {schema:?} is not {SWEEP_SCHEMA:?} (is this a --sweep report?)"
+            "{path}: schema {schema:?} is not {SWEEP_SCHEMA:?} (is this a sweep report?)"
         ));
     }
     let entries = doc
@@ -192,7 +192,7 @@ fn refresh_invocation() -> Vec<&'static str> {
         "--bin",
         "scenario-runner",
         "--",
-        "--sweep",
+        "sweep",
         "--max-nodes",
         "10000",
         "--threads",
@@ -1172,7 +1172,7 @@ mod tests {
     #[test]
     fn refresh_invocation_matches_the_canonical_sweep() {
         let args = refresh_invocation().join(" ");
-        assert!(args.starts_with("run --release --locked --bin scenario-runner -- --sweep"));
+        assert!(args.starts_with("run --release --locked --bin scenario-runner -- sweep"));
         assert!(args.contains("--max-nodes 10000"));
         assert!(args.contains("--threads 1"));
         assert!(args.contains("--seed 42"));
@@ -1203,7 +1203,7 @@ mod tests {
             "batch.json",
             r#"{"schema": "spf-scenario-report/v1"}"#,
         );
-        assert!(load_rungs(&path).unwrap_err().contains("--sweep"));
+        assert!(load_rungs(&path).unwrap_err().contains("sweep report"));
     }
 
     #[test]
