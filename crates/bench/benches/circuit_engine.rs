@@ -1,7 +1,7 @@
 //! Criterion benches for the incremental circuit engine: `World::tick`
 //! against the pre-refactor full-recompute `World::tick_reference`.
 //!
-//! Three workload shapes:
+//! Four workload shapes:
 //!
 //! * **broadcast-heavy** (≥1k nodes): a fixed global configuration,
 //!   several consecutive no-reconfiguration ticks per iteration — the
@@ -16,6 +16,11 @@
 //!   of the structure, so the incremental engine relabels O(affected
 //!   circuits) while the reference pays the full O(pins) recompute. The
 //!   perf target pinned by ISSUE 4 is ≥10× here.
+//!
+//! * **reset_all** (100k nodes, 1% configured): the structure-wide pin
+//!   reset the algorithm layer runs between primitives. Its cost must
+//!   follow the configured nodes, not n; the per-node loop it replaces
+//!   runs beside it for comparison.
 //!
 //! The broadcast-heavy group also measures `tick_faulted` with an empty
 //! fault set next to plain `tick`: the adversary engine's unarmed path
@@ -198,6 +203,40 @@ fn bench_circuit_engine(c: &mut Criterion) {
                     w.tick_reference();
                 }
                 w.rounds()
+            })
+        },
+    );
+    g.finish();
+
+    // Structure-wide pin reset after a sparse phase: the same 100k-node
+    // world, 1% of its nodes regroup a link-0 pin pair, then one reset
+    // drops every group but link 1's. `touched` is
+    // `reset_all_pins_keeping_links`, whose cost follows the configured
+    // nodes; `per_node` is the per-node loop it stands for, which pays n.
+    let mut g = c.benchmark_group("reset_all");
+    g.bench_with_input(BenchmarkId::new("touched", n), &sparse_world, |b, world| {
+        let mut w = world.clone();
+        b.iter(|| {
+            for i in 0..k {
+                w.group_pins((i * 97) % n, &[(0, 0), (1, 0)]);
+            }
+            w.reset_all_pins_keeping_links(&[1]);
+            w.relabel_pending()
+        })
+    });
+    g.bench_with_input(
+        BenchmarkId::new("per_node", n),
+        &sparse_world,
+        |b, world| {
+            let mut w = world.clone();
+            b.iter(|| {
+                for i in 0..k {
+                    w.group_pins((i * 97) % n, &[(0, 0), (1, 0)]);
+                }
+                for v in 0..n {
+                    w.reset_pins_keeping_links(v, &[1]);
+                }
+                w.relabel_pending()
             })
         },
     );

@@ -487,7 +487,7 @@ impl World {
             stuck.push((gid, pset));
         }
 
-        Ok(World {
+        let mut world = World {
             topo,
             c,
             base,
@@ -538,7 +538,12 @@ impl World {
             phase_depth: 0,
             beeps_sent,
             stuck,
-        })
+            touched: BitSet::new(n * c),
+            touched_nodes: vec![Vec::new(); c],
+            link_global: vec![false; c],
+        };
+        world.rebuild_touched();
+        Ok(world)
     }
 
     /// The world as a sealed `SPFS` blob (kind `WORLD`).

@@ -279,6 +279,16 @@ pub struct World {
     /// every write path gates its stuck handling on that emptiness, so
     /// the overlay costs one branch when unarmed.
     pub(crate) stuck: Vec<(u32, u16)>,
+    /// Bit `v * c + link`: some pin of `v` on `link` may hold a partition
+    /// set other than its singleton one. Set by every pin write that moves
+    /// a pin; cleared only by [`World::reset_all_pins_keeping_links`].
+    /// Derived state (DESIGN.md §1c): snapshots rebuild it from the pins.
+    pub(crate) touched: BitSet,
+    /// Per link: the nodes whose `touched` bit on that link is set.
+    pub(crate) touched_nodes: Vec<Vec<u32>>,
+    /// Per link: [`World::global_link_config_all`] ran and no pin on the
+    /// link has changed since, so rerunning it would be a no-op.
+    pub(crate) link_global: Vec<bool>,
 }
 
 impl World {
@@ -361,6 +371,9 @@ impl World {
             phase_depth: 0,
             beeps_sent: 0,
             stuck: Vec::new(),
+            touched: BitSet::new(n * c),
+            touched_nodes: vec![Vec::new(); c],
+            link_global: vec![false; c],
         };
         for v in 0..w.topo.len() {
             w.singleton_pin_config(v);
@@ -485,6 +498,31 @@ impl World {
         }
     }
 
+    /// Records that a pin of `v` on `link` changed: it may now sit outside
+    /// its singleton set, and the link is no longer known to be global.
+    #[inline]
+    fn touch(&mut self, v: usize, link: usize) {
+        self.link_global[link] = false;
+        let bit = v * self.c + link;
+        if !self.touched.get(bit) {
+            self.touched.set(bit);
+            self.touched_nodes[link].push(v as u32);
+        }
+    }
+
+    /// Rebuilds the `touched` bookkeeping from the pin array (snapshot
+    /// restore: the bookkeeping is derived and never persisted).
+    pub(crate) fn rebuild_touched(&mut self) {
+        for v in 0..self.topo.len() {
+            let base = self.base[v] as usize;
+            for i in 0..self.pset_capacity(v) {
+                if self.pin_pset[base + i] != i as u16 {
+                    self.touch(v, i % self.c);
+                }
+            }
+        }
+    }
+
     /// Assigns a single pin of `v` to local partition set `pset`. If the
     /// pin is frozen by a stuck-at fault ([`World::stick_pin`]) the write
     /// is silently dropped — that is the fault model: the algorithm
@@ -508,6 +546,7 @@ impl World {
         if self.pin_pset[gid] != pset {
             self.pin_pset[gid] = pset;
             self.mark_pin_dirty(gid, self.base[v]);
+            self.touch(v, link);
         }
     }
 
@@ -525,19 +564,27 @@ impl World {
         // store): vectorizes, so the common no-op reconfiguration stays a
         // single fast pass and keeps the cached labeling untouched. Only
         // on a real change does the second pass mark the changed pins.
-        let mut diff = 0u16;
+        // `off` accumulates the distance from the singleton configuration.
+        let (mut diff, mut off) = (0u16, 0u16);
         for i in 0..count {
             let pset = pset_of(i);
             debug_assert!((pset as usize) < count);
             diff |= self.pin_pset[base + i] ^ pset;
+            off |= pset ^ i as u16;
             self.pin_pset[base + i] = pset;
         }
         // Stuck pins win over the sweep; the gate keeps the healthy path
         // a single branch and the loop above vectorizable.
         if !self.stuck.is_empty() {
-            self.reassert_stuck(base, count);
+            self.reassert_stuck(v);
         }
         if diff != 0 {
+            self.link_global.fill(false);
+            if off != 0 {
+                for link in 0..self.c {
+                    self.touch(v, link);
+                }
+            }
             // Snapshot-compare marking: pins the re-assertion restored to
             // their pre-sweep (frozen) value are correctly left clean.
             self.mark_changed_pins(base, count);
@@ -611,9 +658,24 @@ impl World {
             {
                 self.pin_pset[base + i] = id;
                 self.mark_pin_dirty(base + i, base as u32);
+                self.touch(v, link);
             }
             i += self.c;
         }
+    }
+
+    /// [`World::global_link_config`] on every node: the structure-wide
+    /// set-up of a reserved broadcast/sync link. O(1) when the link is
+    /// already global everywhere and no pin on it has changed since the
+    /// last call; otherwise one pass over all nodes.
+    pub fn global_link_config_all(&mut self, link: usize) {
+        if self.link_global[link] {
+            return;
+        }
+        for v in 0..self.topo.len() {
+            self.global_link_config(v, link);
+        }
+        self.link_global[link] = true;
     }
 
     /// The partition-set id used by [`World::global_link_config`].
@@ -645,22 +707,36 @@ impl World {
             i += c;
         }
         if !self.stuck.is_empty() {
-            self.reassert_stuck(base, count);
+            self.reassert_stuck(v);
         }
         if diff != 0 {
+            for link in (0..c).filter(|l| !keep.contains(l)) {
+                self.link_global[link] = false;
+            }
             self.mark_changed_pins(base, count);
         }
     }
 
     /// [`World::reset_pins_keeping_links`] over *every* node: the
     /// per-phase "drop all stale groups" sweep the algorithm layer runs
-    /// between phases, as one call. Only the pins that actually move are
-    /// marked dirty, so after a phase that reconfigured a small region the
-    /// next relabel still only touches that region — the sweep itself
-    /// contributes nothing to the dirty set on already-reset nodes.
+    /// between phases, as one call. Its cost scales with the pins that
+    /// left the singleton configuration since their link was last reset,
+    /// not with n: it drains the per-link touched lists of the non-kept
+    /// links and resets exactly those nodes, in ascending id order. Every
+    /// other node's reset would be a no-op, so pins, dirty marks and the
+    /// next relabel are those of a reset of every node.
     pub fn reset_all_pins_keeping_links(&mut self, keep: &[usize]) {
-        for v in 0..self.topo.len() {
-            self.reset_pins_keeping_links(v, keep);
+        let mut nodes = Vec::new();
+        for link in (0..self.c).filter(|l| !keep.contains(l)) {
+            for v in self.touched_nodes[link].drain(..) {
+                self.touched.clear(v as usize * self.c + link);
+                nodes.push(v);
+            }
+        }
+        nodes.sort_unstable();
+        nodes.dedup();
+        for v in nodes {
+            self.reset_pins_keeping_links(v as usize, keep);
         }
     }
 
@@ -672,21 +748,25 @@ impl World {
         self.stuck.binary_search_by_key(&gid, |&(g, _)| g)
     }
 
-    /// Restores the frozen value of every stuck pin inside
-    /// `[base, base + count)` after a bulk sweep overwrote the range.
-    /// Restoration needs no dirty marking of its own: it returns pins to
-    /// their pre-sweep value, and the callers' snapshot-compare marking
-    /// decides what actually changed.
+    /// Restores the frozen value of every stuck pin of `v` after a bulk
+    /// sweep overwrote its pins. Restoration needs no dirty marking of
+    /// its own: it returns pins to their pre-sweep value, and the
+    /// callers' snapshot-compare marking decides what actually changed.
+    /// It does re-touch the pin's link, so a reset that cleared the
+    /// touched bit keeps a stuck non-singleton pin on its list.
     #[cold]
     #[inline(never)]
-    fn reassert_stuck(&mut self, base: usize, count: usize) {
+    fn reassert_stuck(&mut self, v: usize) {
+        let base = self.base[v] as usize;
+        let end = self.base[v + 1] as usize;
         let start = self.stuck.partition_point(|&(g, _)| (g as usize) < base);
         for i in start..self.stuck.len() {
             let (gid, pset) = self.stuck[i];
-            if gid as usize >= base + count {
+            if gid as usize >= end {
                 break;
             }
             self.pin_pset[gid as usize] = pset;
+            self.touch(v, (gid as usize - base) % self.c);
         }
     }
 
@@ -710,6 +790,7 @@ impl World {
             self.pin_pset[gid] = pset;
             self.mark_pin_dirty(gid, self.base[v]);
         }
+        self.touch(v, link);
         match self.stuck_index(gid as u32) {
             Ok(i) => self.stuck[i].1 = pset,
             Err(i) => self.stuck.insert(i, (gid as u32, pset)),
@@ -724,6 +805,8 @@ impl World {
         match self.stuck_index(gid) {
             Ok(i) => {
                 self.stuck.remove(i);
+                // A later structure-wide link set-up may now move the pin.
+                self.link_global[link] = false;
                 true
             }
             Err(_) => false,
@@ -736,6 +819,7 @@ impl World {
     pub fn release_stuck_pins(&mut self) -> usize {
         let n = self.stuck.len();
         self.stuck.clear();
+        self.link_global.fill(false);
         n
     }
 
@@ -1612,6 +1696,10 @@ impl World {
         self.in_region.grow(new_total);
         self.circuit_roots.grow(new_total);
         self.node_mark.ensure_len(self.topo.len());
+        // The fresh singleton pins need no touched bit, but their links
+        // are no longer global everywhere.
+        self.touched.grow(self.topo.len() * self.c);
+        self.link_global.fill(false);
         self.port_edge.resize(self.port_edge.len() + ports, NO_EDGE);
         // Keep the construction-time worst-case reservations of the dense
         // scratch lists in step with the grown pin space, so the "ticks
@@ -1844,6 +1932,7 @@ impl World {
         if self.pin_pset[g] != pset {
             self.pin_pset[g] = pset;
             self.mark_pin_dirty(g, self.base[v]);
+            self.touch(v, (g - self.base[v] as usize) % self.c);
         }
         true
     }

@@ -346,3 +346,175 @@ fn interleaved_tick_flavors_stay_coherent() {
     w.tick();
     assert!(!w.received_any(0) && !w.received_any(3), "silent round");
 }
+
+/// Asserts that both worlds hold the same pins and, through their SPFS
+/// bytes, the same dirty set, labeling, stuck pins and counters.
+fn assert_same_state(fast: &World, twin: &World, step: usize) {
+    let c = fast.links_per_edge();
+    for v in 0..fast.topology().len() {
+        for port in 0..fast.topology().ports_len(v) {
+            for link in 0..c {
+                assert_eq!(
+                    fast.pin_config(v, port, link),
+                    twin.pin_config(v, port, link),
+                    "pin ({v}, {port}, {link}) diverged at step {step} (c = {c})"
+                );
+            }
+        }
+    }
+    assert!(
+        fast.snapshot_bytes() == twin.snapshot_bytes(),
+        "engine state diverged at step {step} (c = {c})"
+    );
+}
+
+/// One seeded operation stream on two worlds. `fast` runs the structure-
+/// wide calls (`reset_all_pins_keeping_links`, `global_link_config_all`)
+/// on its touched-set bookkeeping; `twin` spells each out as the per-node
+/// loop it stands for. Every step must leave both in the same state.
+fn run_touched_set_differential(seed: u64, c: usize, steps: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(1..12usize);
+    let mut fast = World::new(random_topology(&mut rng, n, 4), c);
+    let mut twin = fast.clone();
+    // Pins stuck by this stream (duplicates allowed), for targeted unsticks.
+    let mut stuck = Vec::new();
+    for step in 0..steps {
+        let n = fast.topology().len();
+        let v = rng.gen_range(0..n);
+        let ports = fast.topology().ports_len(v);
+        let link = rng.gen_range(0..c);
+        let port = rng.gen_range(0..ports.max(1));
+        let pset = rng.gen_range(0..(ports * c).max(1)) as u16;
+        match rng.gen_range(0..15u32) {
+            0 | 1 if ports > 0 => {
+                fast.set_pin(v, port, link, pset);
+                twin.set_pin(v, port, link, pset);
+            }
+            2 if ports > 0 => {
+                let pins: Vec<(usize, usize)> = (0..rng.gen_range(1..4usize))
+                    .map(|_| (rng.gen_range(0..ports), rng.gen_range(0..c)))
+                    .collect();
+                assert_eq!(fast.group_pins(v, &pins), twin.group_pins(v, &pins));
+            }
+            3 => {
+                fast.global_link_config(v, link);
+                twin.global_link_config(v, link);
+            }
+            4 => {
+                fast.global_link_config_all(link);
+                for w in 0..n {
+                    twin.global_link_config(w, link);
+                }
+            }
+            5 => {
+                fast.global_pin_config(v);
+                twin.global_pin_config(v);
+            }
+            6 => {
+                fast.singleton_pin_config(v);
+                twin.singleton_pin_config(v);
+            }
+            7 if ports > 0 => {
+                fast.stick_pin(v, port, link, pset);
+                twin.stick_pin(v, port, link, pset);
+                stuck.push((v, port, link));
+            }
+            8 if !stuck.is_empty() => {
+                let (v, port, link) = stuck.swap_remove(rng.gen_range(0..stuck.len()));
+                assert_eq!(
+                    fast.unstick_pin(v, port, link),
+                    twin.unstick_pin(v, port, link)
+                );
+            }
+            9 if rng.gen_bool(0.2) => {
+                assert_eq!(fast.release_stuck_pins(), twin.release_stuck_pins());
+                stuck.clear();
+            }
+            10 => {
+                let new_ports = rng.gen_range(1..4);
+                let u = fast.add_node(new_ports);
+                assert_eq!(u, twin.add_node(new_ports));
+                // Wire the new node to the first vacant port elsewhere.
+                let vacant = (0..u).find_map(|w| {
+                    (0..fast.topology().ports_len(w))
+                        .find(|&q| fast.topology().peer(w, q).is_none())
+                        .map(|q| (w, q))
+                });
+                if let Some((w, q)) = vacant {
+                    fast.connect(u, 0, w, q);
+                    twin.connect(u, 0, w, q);
+                }
+            }
+            11 => {
+                fast = World::from_snapshot_bytes(&fast.snapshot_bytes()).expect("round trip");
+            }
+            _ => {
+                let keep: Vec<usize> = (0..c).filter(|_| rng.gen_bool(0.3)).collect();
+                fast.reset_all_pins_keeping_links(&keep);
+                for w in 0..n {
+                    twin.reset_pins_keeping_links(w, &keep);
+                }
+            }
+        }
+        assert_same_state(&fast, &twin, step);
+        if rng.gen_bool(0.25) {
+            let n = fast.topology().len();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let v = rng.gen_range(0..n);
+                let cap = fast.pset_capacity(v);
+                if cap > 0 {
+                    let pset = rng.gen_range(0..cap) as u16;
+                    fast.beep(v, pset);
+                    twin.beep(v, pset);
+                }
+            }
+            fast.tick();
+            twin.tick();
+            for v in 0..n {
+                for pset in 0..fast.pset_capacity(v) as u16 {
+                    assert_eq!(
+                        fast.received(v, pset),
+                        twin.received(v, pset),
+                        "delivery diverged at node {v} pset {pset}, step {step} (c = {c})"
+                    );
+                }
+            }
+            assert_same_state(&fast, &twin, step);
+        }
+    }
+}
+
+/// Structure-wide pin resets and sync-link set-ups cost the pins that
+/// moved, yet must leave exactly the state of the per-node loops they
+/// replace — with stuck pins, grown nodes and snapshot restores mixed in,
+/// and for any number of links per edge (70 exceeds one machine word).
+#[test]
+fn touched_set_resets_match_per_node_resets() {
+    for c in [1, 6, 70] {
+        for seed in 0..24 {
+            run_touched_set_differential(seed, c, 160);
+        }
+    }
+}
+
+/// Releasing a stuck pin that a structure-wide sync-link set-up skipped
+/// must make the next set-up move it: the link is no longer known global.
+#[test]
+fn released_stuck_pin_rejoins_the_global_link() {
+    let topo = Topology::from_edges(3, &[(0, 1), (1, 2)]);
+    for release_all in [false, true] {
+        let mut w = World::new(topo.clone(), 2);
+        // Pin (port 1, link 1) of node 1: its global set differs from 0.
+        w.stick_pin(1, 1, 1, 0);
+        w.global_link_config_all(1);
+        assert_eq!(w.pin_config(1, 1, 1), 0, "a stuck pin ignores the set-up");
+        if release_all {
+            assert_eq!(w.release_stuck_pins(), 1);
+        } else {
+            assert!(w.unstick_pin(1, 1, 1));
+        }
+        w.global_link_config_all(1);
+        assert_eq!(w.pin_config(1, 1, 1), World::global_link_pset(1));
+    }
+}

@@ -63,8 +63,7 @@ pub fn propagate_forest(
     let mut cross_portals = Vec::new();
     for (ei, &e) in cross.iter().enumerate() {
         let ap = axis_portals(structure, &mask_pb, e);
-        let flags: Vec<bool> = (0..n).map(|v| in_portal[v]).collect();
-        let vis_flags = crate::portals::mark_portals(world, structure, &mask_pb, &ap, &flags);
+        let vis_flags = crate::portals::mark_portals(world, structure, &mask_pb, &ap, &in_portal);
         for v in 0..n {
             if !b_mask[v] {
                 continue;

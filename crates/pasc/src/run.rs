@@ -71,9 +71,11 @@ pub struct PascRun {
 }
 
 impl PascRun {
-    /// Prepares a run. Configures the reserved `sync_link` as a global
-    /// circuit on *every* node of the world (it must not be used by any
-    /// concurrent primitive) and marks weight-1 instances active.
+    /// Prepares a run and marks weight-1 instances active. The reserved
+    /// `sync_link` must not be used by any concurrent primitive: it is
+    /// set up as a global circuit on *every* node through
+    /// [`World::global_link_config_all`], which costs O(1) when an earlier
+    /// run left the link global and no pin on it has moved since.
     ///
     /// # Panics
     ///
@@ -89,9 +91,7 @@ impl PascRun {
                 assert_ne!(e.primary, e.secondary, "tracks must use distinct links");
             }
         }
-        for v in 0..world.topology().len() {
-            world.global_link_config(v, sync_link);
-        }
+        world.global_link_config_all(sync_link);
         let active: Vec<bool> = specs.iter().map(|s| s.weight).collect();
         let n = specs.len();
         PascRun {
