@@ -1,7 +1,7 @@
 //! Criterion benches for the incremental circuit engine: `World::tick`
 //! against the pre-refactor full-recompute `World::tick_reference`.
 //!
-//! Four workload shapes:
+//! Five workload shapes:
 //!
 //! * **broadcast-heavy** (≥1k nodes): a fixed global configuration,
 //!   several consecutive no-reconfiguration ticks per iteration — the
@@ -22,6 +22,14 @@
 //!   follow the configured nodes, not n; the per-node loop it replaces
 //!   runs beside it for comparison.
 //!
+//! * **pasc_tour_relabel** (30k-node random blob): one PASC iteration
+//!   (data + sync round) over the Euler tour of a BFS spanning tree with
+//!   every node marked — the relabel load of root-and-prune (Lemma 20).
+//!   Each data round flips crossings along the whole tour, so its relabel
+//!   dissolves and re-unions the tour's track circuits; the sync round is
+//!   clean. A run that terminates is replaced by a fresh one, so the
+//!   figure is the mean over the iterations of whole runs.
+//!
 //! The broadcast-heavy group also measures `tick_faulted` with an empty
 //! fault set next to plain `tick`: the adversary engine's unarmed path
 //! must stay within the workspace's 25% perf gate of the plain tick
@@ -36,6 +44,12 @@
 
 use amoebot_bench::standard_structure;
 use amoebot_circuits::{TickFaults, Topology, World};
+use amoebot_grid::{bfs_parents, random_structure, AmoebotStructure, NodeId};
+use amoebot_pasc::PascRun;
+use amoebot_scenarios::spec::derive_rng;
+use amoebot_spf::ett::build_tours;
+use amoebot_spf::links::{LINKS, SYNC};
+use amoebot_spf::Tree;
 use amoebot_telemetry::{FlightRecorder, NullRecorder};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -240,6 +254,37 @@ fn bench_circuit_engine(c: &mut Criterion) {
             })
         },
     );
+    g.finish();
+
+    // One PASC iteration over a 30k-node Euler tour (see the module docs).
+    let s = AmoebotStructure::new(random_structure(30_000, &mut derive_rng(1, 0)))
+        .expect("random structures are connected");
+    let n = s.len();
+    let parents: Vec<Option<usize>> = bfs_parents(&s, NodeId(0))
+        .into_iter()
+        .map(|p| p.map(|p| p.index()))
+        .collect();
+    let tree = Tree::from_parents(n, 0, &parents);
+    let mut world = World::new(Topology::from_structure(&s), LINKS);
+    let specs = build_tours(
+        world.topology(),
+        std::slice::from_ref(&tree),
+        &vec![true; n],
+    )
+    .specs;
+    let fresh = PascRun::new(&mut world, specs, SYNC);
+    let mut g = c.benchmark_group("pasc_tour_relabel");
+    g.bench_with_input(BenchmarkId::new("ett_iteration", n), &world, |b, world| {
+        let mut w = world.clone();
+        let mut run = fresh.clone();
+        b.iter(|| {
+            if run.is_done() {
+                run = fresh.clone();
+            }
+            run.data_step(&mut w, |_| {});
+            run.sync_step(&mut w)
+        })
+    });
     g.finish();
 }
 

@@ -526,6 +526,7 @@ impl World {
             region: Vec::new(),
             node_mark: BitSet::new(n),
             region_nodes: Vec::new(),
+            region_refs: Vec::new(),
             cached_circuits,
             stats,
             rounds,

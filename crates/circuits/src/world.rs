@@ -74,6 +74,10 @@ pub type Pin = (PortId, usize);
 /// stays far below the threshold.
 pub const REGION_FALLBACK_FRACTION: usize = 8;
 
+/// Ports per node of an amoebot world (one per grid direction): the stride
+/// behind the O(1) owner guess of a partition-set gid.
+const AMOEBOT_PORTS: usize = amoebot_grid::ALL_DIRECTIONS.len();
+
 /// Vacant-slot sentinel of the per-port edge table.
 pub(crate) const NO_EDGE: u32 = u32::MAX;
 
@@ -253,6 +257,8 @@ pub struct World {
     /// Region-relabel scratch: nodes owning a region gid.
     pub(crate) node_mark: BitSet,
     pub(crate) region_nodes: Vec<u32>,
+    /// Region-relabel scratch: the region gids some pin references.
+    pub(crate) region_refs: Vec<u32>,
     /// Number of distinct circuits under the cached labeling.
     pub(crate) cached_circuits: usize,
     /// Telemetry registry + cached handles. Holds the relabel-path
@@ -361,6 +367,7 @@ impl World {
             region: Vec::new(),
             node_mark: BitSet::new(n),
             region_nodes: Vec::new(),
+            region_refs: Vec::new(),
             cached_circuits: 0,
             stats: EngineStats::new(),
             rounds: 0,
@@ -969,12 +976,33 @@ impl World {
         self.relabel_region::<R>(threshold)
     }
 
-    /// The owner node of pin/partition-set `gid` (binary search over the
-    /// base offsets; zero-pin nodes collapse onto the same offset, and the
-    /// search lands past all of them).
+    /// The owner node of pin/partition-set `gid`. In an amoebot world
+    /// every node has [`AMOEBOT_PORTS`] ports, so the owner is
+    /// `gid / (AMOEBOT_PORTS · c)`: the guess is checked against `base`
+    /// in O(1), and only a miss (nodes of other port counts, as in
+    /// [`Topology::from_edges`] or grown worlds) pays a binary search over
+    /// the base offsets. Zero-pin nodes collapse onto the same offset; the
+    /// guess never lands on one (its range is empty) and the search lands
+    /// past all of them.
     #[inline]
     fn node_of_gid(&self, gid: u32) -> usize {
+        let guess = gid as usize / (AMOEBOT_PORTS * self.c);
+        if guess + 1 < self.base.len() && self.base[guess] <= gid && gid < self.base[guess + 1] {
+            return guess;
+        }
         self.base.partition_point(|&b| b <= gid) - 1
+    }
+
+    /// Whether some pin of `v` references `v`'s partition set `gid`. Set
+    /// ids follow the pin-index convention (a singleton holds its own pin,
+    /// a group's id is its minimum member pin, a global-link set holds the
+    /// link's port-0 pin), so the pin at the set's own index nearly always
+    /// decides; only the rest, mostly sets left empty, scan `v`'s pins.
+    #[inline]
+    fn set_referenced(&self, v: usize, gid: u32) -> bool {
+        let (lo, hi) = (self.base[v] as usize, self.base[v + 1] as usize);
+        let local = (gid as usize - lo) as u16;
+        self.pin_pset[gid as usize] == local || self.pin_pset[lo..hi].contains(&local)
     }
 
     /// Region-scoped relabel: dissolves only the circuits whose old *or*
@@ -1025,9 +1053,10 @@ impl World {
             return RelabelKind::Global;
         }
         // 3. Collect the region: every member gid of every affected
-        // circuit, its owner nodes, and — dissolving — singleton
-        // union-find entries. Affected roots drop out of the circuit
-        // count here; step 6 re-adds whatever the new region references.
+        // circuit, its owner nodes, the gids some pin references, and —
+        // dissolving — singleton union-find entries. Affected roots drop
+        // out of the circuit count here; step 6 re-adds the roots of the
+        // referenced gids.
         for i in 0..self.affected_roots.len() {
             let r = self.affected_roots[i] as usize;
             if self.circuit_roots.get(r) {
@@ -1044,20 +1073,16 @@ impl World {
         // (Bucket contents end up in affected-circuit concatenation order
         // rather than the global counting sort's ascending order; nothing
         // observes member order, and the collection order is itself
-        // deterministic.) Owner lookups exploit that each old bucket is
-        // ascending, so consecutive gids usually share a node.
-        let mut cached_node = usize::MAX;
+        // deterministic.)
         for i in 0..self.region.len() {
             let gid = self.region[i];
-            if cached_node == usize::MAX
-                || gid < self.base[cached_node]
-                || gid >= self.base[cached_node + 1]
-            {
-                cached_node = self.node_of_gid(gid);
+            let v = self.node_of_gid(gid);
+            if !self.node_mark.get(v) {
+                self.node_mark.set(v);
+                self.region_nodes.push(v as u32);
             }
-            if !self.node_mark.get(cached_node) {
-                self.node_mark.set(cached_node);
-                self.region_nodes.push(cached_node as u32);
+            if self.set_referenced(v, gid) {
+                self.region_refs.push(gid);
             }
         }
         if let Some(t) = t_dissolve {
@@ -1072,7 +1097,10 @@ impl World {
         };
         // 4. Re-union: only links incident to region nodes, and of those
         // only the ones whose endpoints lie in the region. The stability
-        // invariant guarantees a union never crosses the region boundary.
+        // invariant guarantees a union never crosses the region boundary,
+        // so an edge that needs a union has region sets on both sides and
+        // both endpoints are region nodes: each edge is walked once, from
+        // its `a` side.
         for i in 0..self.region_nodes.len() {
             let v = self.region_nodes[i] as usize;
             let lo = self.base[v] as usize / self.c;
@@ -1083,14 +1111,21 @@ impl World {
                     continue;
                 }
                 let (a0, base_a, b0, base_b) = self.links[ei as usize];
+                if a0 as usize != slot * self.c {
+                    continue;
+                }
+                // By the same invariant `pa` lies in the region iff `pb`
+                // does, so one membership test decides the union.
                 for link in 0..self.c as u32 {
                     let pa = base_a + self.pin_pset[(a0 + link) as usize] as u32;
                     let pb = base_b + self.pin_pset[(b0 + link) as usize] as u32;
-                    if self.in_region.get(pa as usize) || self.in_region.get(pb as usize) {
-                        debug_assert!(
-                            self.in_region.get(pa as usize) && self.in_region.get(pb as usize),
-                            "a link union crossed the region boundary"
-                        );
+                    let in_region = self.in_region.get(pa as usize);
+                    debug_assert_eq!(
+                        in_region,
+                        self.in_region.get(pb as usize),
+                        "a link union crossed the region boundary"
+                    );
+                    if in_region {
                         self.union(pa, pb);
                     }
                 }
@@ -1149,23 +1184,18 @@ impl World {
             }
             self.marked_roots.clear();
         }
-        // 6. Re-count: a region circuit is counted iff some pin of a
-        // region node references one of its member sets (pins of clean
-        // nodes cannot reference region gids, which all belong to region
-        // nodes; references to clean circuits are untouched).
-        for i in 0..self.region_nodes.len() {
-            let v = self.region_nodes[i] as usize;
-            for p in self.base[v] as usize..self.base[v + 1] as usize {
-                let gid = self.base[v] as usize + self.pin_pset[p] as usize;
-                if self.in_region.get(gid) {
-                    let root = self.labels[gid] as usize;
-                    if !self.circuit_roots.get(root) {
-                        self.circuit_roots.set(root);
-                        self.cached_circuits += 1;
-                    }
-                }
+        // 6. Re-count: a region circuit is counted iff one of its member
+        // sets is referenced by a pin (step 3 collected those; pins of
+        // clean nodes cannot reference region gids, which all belong to
+        // region nodes, and references to clean circuits are untouched).
+        for i in 0..self.region_refs.len() {
+            let root = self.labels[self.region_refs[i] as usize] as usize;
+            if !self.circuit_roots.get(root) {
+                self.circuit_roots.set(root);
+                self.cached_circuits += 1;
             }
         }
+        self.region_refs.clear();
         // 7. Snapshot the new configuration and unwind the scratch.
         for i in 0..self.dirty_pins.len() {
             let pin = self.dirty_pins[i].0 as usize;

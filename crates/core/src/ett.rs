@@ -25,16 +25,22 @@ use crate::tree::Tree;
 
 /// The Euler tours of a forest of (node-disjoint) trees, compiled into PASC
 /// instance specs plus the index maps the primitives need.
+///
+/// The per-edge maps are flat CSR arrays: member `v`'s tree edge to
+/// `trees[t].adj[v][j]` has the *edge index* `edge_off[v] + j` (see
+/// [`TourSet::edge`]), rows in node order, non-members with empty rows.
 #[derive(Debug, Clone)]
 pub struct TourSet {
     /// PASC instance specs for all trees (run them as one [`amoebot_pasc::PascRun`]).
     pub specs: Vec<InstanceSpec>,
-    /// `out_inst[v][j]` = index of `v`'s instance whose *outgoing* edge goes
-    /// to `trees[t].adj[v][j]` (`usize::MAX` for non-members).
-    pub out_inst: Vec<Vec<usize>>,
-    /// `in_inst[v][j]` = index of `v`'s instance whose *incoming* edge comes
+    /// CSR row offsets over nodes `0..=n` into `out_inst`/`in_inst`.
+    pub edge_off: Vec<u32>,
+    /// Per edge index `(v, j)`: `v`'s instance whose *outgoing* edge goes
+    /// to `trees[t].adj[v][j]`.
+    pub out_inst: Vec<u32>,
+    /// Per edge index `(v, j)`: `v`'s instance whose *incoming* edge comes
     /// from `trees[t].adj[v][j]`.
-    pub in_inst: Vec<Vec<usize>>,
+    pub in_inst: Vec<u32>,
     /// Per tree: the start instance (root, before the first edge).
     pub start_inst: Vec<usize>,
     /// Per tree: the root's final instance (computes `W`, Corollary 15).
@@ -44,6 +50,23 @@ pub struct TourSet {
     pub marked_adj: Vec<Option<usize>>,
     /// Per node: which tree (index into the input slice) it belongs to.
     pub tree_of: Vec<Option<usize>>,
+}
+
+impl TourSet {
+    /// The edge indices of `v`'s tree edges, in `adj[v]` order (empty for
+    /// non-members and single-node trees).
+    #[inline]
+    pub fn edges_of(&self, v: usize) -> std::ops::Range<usize> {
+        self.edge_off[v] as usize..self.edge_off[v + 1] as usize
+    }
+
+    /// The edge index of member `v`'s tree edge to its `j`-th tree
+    /// neighbor.
+    #[inline]
+    pub fn edge(&self, v: usize, j: usize) -> usize {
+        debug_assert!(j < self.edges_of(v).len());
+        self.edge_off[v] as usize + j
+    }
 }
 
 /// Builds the Euler tours for `trees` with node marks `q` (the weight
@@ -56,13 +79,10 @@ pub fn build_tours(topo: &Topology, trees: &[Tree], q: &[bool]) -> TourSet {
     let n = topo.len();
     assert_eq!(q.len(), n);
     let mut specs: Vec<InstanceSpec> = Vec::new();
-    let mut out_inst: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
-    let mut in_inst: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
     let mut start_inst = Vec::with_capacity(trees.len());
     let mut last_inst = Vec::with_capacity(trees.len());
     let mut marked_adj: Vec<Option<usize>> = vec![None; n];
     let mut tree_of: Vec<Option<usize>> = vec![None; n];
-
     for (t, tree) in trees.iter().enumerate() {
         for &v in &tree.members {
             assert!(
@@ -70,9 +90,21 @@ pub fn build_tours(topo: &Topology, trees: &[Tree], q: &[bool]) -> TourSet {
                 "trees must be node-disjoint (node {v})"
             );
             tree_of[v] = Some(t);
-            out_inst[v] = vec![usize::MAX; tree.adj[v].len()];
-            in_inst[v] = vec![usize::MAX; tree.adj[v].len()];
         }
+    }
+    let mut edge_off = Vec::with_capacity(n + 1);
+    let mut acc = 0u32;
+    for v in 0..n {
+        edge_off.push(acc);
+        if let Some(t) = tree_of[v] {
+            acc += trees[t].adj[v].len() as u32;
+        }
+    }
+    edge_off.push(acc);
+    let mut out_inst = vec![u32::MAX; acc as usize];
+    let mut in_inst = vec![u32::MAX; acc as usize];
+
+    for tree in trees {
         if tree.len() == 1 {
             // Degenerate single-node tree: one instance, no edges.
             let idx = specs.len();
@@ -151,8 +183,8 @@ pub fn build_tours(topo: &Topology, trees: &[Tree], q: &[bool]) -> TourSet {
         for (i, &(u, v)) in edges.iter().enumerate() {
             let ju = tree.adj[u].iter().position(|&w| w == v).unwrap();
             let jv = tree.adj[v].iter().position(|&w| w == u).unwrap();
-            out_inst[u][ju] = base + i;
-            in_inst[v][jv] = base + i + 1;
+            out_inst[edge_off[u] as usize + ju] = (base + i) as u32;
+            in_inst[edge_off[v] as usize + jv] = (base + i + 1) as u32;
         }
         start_inst.push(base);
         last_inst.push(base + m);
@@ -160,6 +192,7 @@ pub fn build_tours(topo: &Topology, trees: &[Tree], q: &[bool]) -> TourSet {
 
     TourSet {
         specs,
+        edge_off,
         out_inst,
         in_inst,
         start_inst,
@@ -203,10 +236,11 @@ mod tests {
         // Each node has deg instances as tails.
         for v in 0..5 {
             for j in 0..tree.adj[v].len() {
-                assert_ne!(ts.out_inst[v][j], usize::MAX);
-                assert_ne!(ts.in_inst[v][j], usize::MAX);
-                assert_eq!(ts.specs[ts.out_inst[v][j]].node, v);
-                assert_eq!(ts.specs[ts.in_inst[v][j]].node, v);
+                let e = ts.edge(v, j);
+                assert_ne!(ts.out_inst[e], u32::MAX);
+                assert_ne!(ts.in_inst[e], u32::MAX);
+                assert_eq!(ts.specs[ts.out_inst[e] as usize].node, v);
+                assert_eq!(ts.specs[ts.in_inst[e] as usize].node, v);
             }
         }
     }
@@ -247,11 +281,11 @@ mod tests {
         for v in 0..5 {
             if let Some(p) = parents[v] {
                 let j = tree.adj[v].iter().position(|&w| w == p).unwrap();
-                let out = values[ts.out_inst[v][j]];
+                let out = values[ts.out_inst[ts.edge(v, j)] as usize];
                 // The incoming prefix sum is the value of the *preceding*
                 // instance, i.e. the peer's outgoing instance for (p, v).
                 let jp = tree.adj[p].iter().position(|&w| w == v).unwrap();
-                let inc = values[ts.out_inst[p][jp]];
+                let inc = values[ts.out_inst[ts.edge(p, jp)] as usize];
                 assert_eq!(out - inc, subtree_q(v), "subtree count at {v}");
             }
         }

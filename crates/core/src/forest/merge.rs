@@ -35,11 +35,8 @@ pub fn merge_forests(world: &mut World, f1: &Forest, f2: &Forest) -> Forest {
 
     let mut run = PascRun::new(world, specs, SYNC);
     let mut cmps: Vec<StreamingCompare> = vec![StreamingCompare::new(); n];
-    while !run.is_done() {
-        let bits = match run.data_step(world, |_| {}) {
-            Some(b) => b.to_vec(),
-            None => break,
-        };
+    while run.data_step(world, |_| {}).is_some() {
+        let bits = run.bits();
         for v in 0..n {
             if f1.member[v] {
                 cmps[v].feed(bits[idx1[v]], bits[idx2[v]]);

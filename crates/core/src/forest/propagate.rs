@@ -127,11 +127,8 @@ pub fn propagate_forest(
     );
     let mut run = PascRun::new(world, specs, SYNC);
     let mut cmps: Vec<StreamingCompare> = vec![StreamingCompare::new(); n];
-    while !run.is_done() {
-        let bits = match run.data_step(world, |_| {}) {
-            Some(b) => b.to_vec(),
-            None => break,
-        };
+    while run.data_step(world, |_| {}).is_some() {
+        let bits = run.bits();
         // Relay round: every portal amoebot forwards its current distance
         // bit on both of its cross-portal circuits.
         for &p in portal_nodes {

@@ -281,7 +281,7 @@ pub fn portal_root_and_prune(
             if ap.portal_of[w] == ap.portal_of[v] {
                 continue; // intra-portal edge
             }
-            match rp.diff_sign[v][j] {
+            match rp.diff_sign(v, j) {
                 0 => {}
                 s => {
                     portal_nonzero[ap.portal_of[v] as usize] += 1;
@@ -327,7 +327,7 @@ pub fn portal_root_and_prune(
         let is_connector_nonzero = tree.adj[v]
             .iter()
             .enumerate()
-            .any(|(j, &w)| ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign[v][j] != 0);
+            .any(|(j, &w)| ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign(v, j) != 0);
         let root_beep = p as u32 == root_portal && ap.reps[p] == v && q_count > 0;
         if (is_connector_nonzero || root_beep) && portal_pset[v] != u16::MAX {
             world.beep(v, portal_pset[v]);
@@ -690,7 +690,7 @@ pub fn portal_centroids(
             continue;
         }
         for (j, &w) in tree.adj[v].iter().enumerate() {
-            if ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign[v][j] > 0 {
+            if ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign(v, j) > 0 {
                 parent_edge_of[ap.portal_of[v] as usize] = Some((v, w));
             }
         }
@@ -698,8 +698,8 @@ pub fn portal_centroids(
 
     // Pass 2: stream sizes against |Q|/2 (3 rounds per iteration).
     world.reset_all_pins_keeping_links(&[SYNC]);
-    let ts = crate::ett::build_tours(world.topology(), std::slice::from_ref(&tree), &q_hat);
-    let mut run = PascRun::new(world, ts.specs.clone(), SYNC);
+    let mut ts = crate::ett::build_tours(world.topology(), std::slice::from_ref(&tree), &q_hat);
+    let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
     // Structure-spanning broadcast circuit for the |Q| bits.
     for v in 0..n {
         if mask[v] {
@@ -746,12 +746,8 @@ pub fn portal_centroids(
             streams.push((v, j, s));
         }
     }
-    while !run.is_done() {
-        let bits = match run.data_step(world, |_| {}) {
-            Some(b) => b.to_vec(),
-            None => break,
-        };
-        let incoming = run.incoming().to_vec();
+    while run.data_step(world, |_| {}).is_some() {
+        let (bits, incoming) = (run.bits(), run.incoming());
         let w_bit = bits[ts.last_inst[0]];
         if w_bit == 1 {
             world.beep(r_hat, bpset);
@@ -763,8 +759,9 @@ pub fn portal_centroids(
             } else {
                 u8::from(world.received(*v, bpset))
             };
-            let out_bit = bits[ts.out_inst[*v][*j]];
-            let in_bit = incoming[ts.in_inst[*v][*j]];
+            let e = ts.edge(*v, *j);
+            let out_bit = bits[ts.out_inst[e] as usize];
+            let in_bit = incoming[ts.in_inst[e] as usize];
             match stream {
                 Stream::Parent { inner, outer, cmp } => {
                     let d = inner.feed(out_bit, in_bit);
@@ -782,35 +779,11 @@ pub fn portal_centroids(
 
     // Veto round (Figure 4a): connectors whose component exceeds |Q|/2 beep
     // on their portal circuit; silent Q-portals are centroids.
-    let mut veto = vec![false; ap.portals.len()];
-    for (v, j, stream) in &streams {
-        let oversized = match stream {
-            Stream::Parent { cmp, .. } => !cmp.le_half(),
-            Stream::Child { cmp, .. } => !cmp.le_half(),
-        };
-        let _ = j;
-        if oversized {
-            veto[ap.portal_of[*v] as usize] = true;
-        }
+    let mut veto_flags = vec![false; n];
+    for (v, _, stream) in &streams {
+        let (Stream::Parent { cmp, .. } | Stream::Child { cmp, .. }) = stream;
+        veto_flags[*v] |= !cmp.le_half();
     }
-    let veto_flags: Vec<bool> = (0..n)
-        .map(|v| {
-            mask[v] && {
-                let p = ap.portal_of[v];
-                p != u32::MAX && veto[p as usize] && {
-                    // only the connectors beep, but the portal outcome is
-                    // identical; use the connector's own flag
-                    streams.iter().any(|&(cv, _, ref st)| {
-                        cv == v
-                            && match st {
-                                Stream::Parent { cmp, .. } => !cmp.le_half(),
-                                Stream::Child { cmp, .. } => !cmp.le_half(),
-                            }
-                    })
-                }
-            }
-        })
-        .collect();
     let vetoed = mark_portals(world, structure, mask, ap, &veto_flags);
     (0..ap.portals.len())
         .map(|p| q_portals[p] && !vetoed[p])

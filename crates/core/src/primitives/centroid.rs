@@ -44,12 +44,11 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
 
     // Second pass: same tours, now streaming sizes against |Q|/2.
     world.reset_all_pins_keeping_links(&[BROADCAST, SYNC]);
-    let ts = build_tours(world.topology(), trees, q);
-    let mut run = PascRun::new(world, ts.specs.clone(), SYNC);
+    let mut ts = build_tours(world.topology(), trees, q);
+    let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
 
     // Broadcast circuits: per tree, all members join their BROADCAST-link
     // pins on tree-edge ports into one partition set (region-scoped circuit).
-    let c = world.links_per_edge();
     let mut bcast_pset: Vec<u16> = vec![u16::MAX; n];
     for tree in trees {
         for &v in &tree.members {
@@ -96,20 +95,13 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
         }
     }
 
-    while !run.is_done() {
-        // Round 1: PASC data round.
-        let bits = match run.data_step(world, |_| {}) {
-            Some(b) => b.to_vec(),
-            None => break,
-        };
-        let incoming = run.incoming().to_vec();
+    // Round 1 of each iteration: PASC data round.
+    while run.data_step(world, |_| {}).is_some() {
+        let (bits, incoming) = (run.bits(), run.incoming());
         // Round 2: each root broadcasts the current bit of |Q| on its tree's
         // broadcast circuit.
-        let mut w_bits: Vec<u8> = Vec::with_capacity(trees.len());
         for (t, tree) in trees.iter().enumerate() {
-            let w_bit = bits[ts.last_inst[t]];
-            w_bits.push(w_bit);
-            if w_bit == 1 && bcast_pset[tree.root] != u16::MAX {
+            if bits[ts.last_inst[t]] == 1 && bcast_pset[tree.root] != u16::MAX {
                 world.beep(tree.root, bcast_pset[tree.root]);
             }
         }
@@ -122,13 +114,14 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
                     continue;
                 }
                 let q_bit = if v == tree.root {
-                    w_bits[t]
+                    bits[ts.last_inst[t]]
                 } else {
                     u8::from(world.received(v, bcast_pset[v]))
                 };
                 for (j, stream) in streams[v].iter_mut().enumerate() {
-                    let out_bit = bits[ts.out_inst[v][j]];
-                    let in_bit = incoming[ts.in_inst[v][j]];
+                    let e = ts.edge(v, j);
+                    let out_bit = bits[ts.out_inst[e] as usize];
+                    let in_bit = incoming[ts.in_inst[e] as usize];
                     match stream {
                         SizeStream::Parent { inner, outer, cmp } => {
                             let d = inner.feed(out_bit, in_bit);
@@ -143,7 +136,6 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
                 }
             }
         }
-        let _ = c;
         // Round 3: sync.
         run.sync_step(world);
     }

@@ -25,16 +25,28 @@ pub struct RootPrune {
     /// Per tree: `|Q ∩ T|`, computed by the root's final instance
     /// (Corollary 15).
     pub q_count: Vec<u64>,
-    /// `diff_sign[v][j]` = sign of `prefixsum(v,w) - prefixsum(w,v)` for
-    /// `w = adj[v][j]` (`-1`, `0`, `+1`). This is the raw per-edge stream
-    /// outcome of Lemma 14; the portal variants (§3.5) read it at the
-    /// connector amoebots `c_{P1}(P2)`.
-    pub diff_sign: Vec<Vec<i8>>,
+    /// Per tree edge, in the tours' CSR order (`edge_off[v] + j` is the
+    /// edge from `v` to `adj[v][j]`): the sign of `prefixsum(v,w) -
+    /// prefixsum(w,v)` (`-1`, `0`, `+1`). Read it through
+    /// [`RootPrune::diff_sign`].
+    signs: Vec<i8>,
+    /// CSR row offsets of `signs` over nodes `0..=n`.
+    edge_off: Vec<u32>,
     /// PASC iterations executed (rounds = 2 × iterations, Lemma 4).
     pub iterations: u32,
 }
 
 impl RootPrune {
+    /// Sign of `prefixsum(v,w) - prefixsum(w,v)` for `w = adj[v][j]`
+    /// (`-1`, `0`, `+1`). This is the raw per-edge stream outcome of
+    /// Lemma 14; the portal variants (§3.5) read it at the connector
+    /// amoebots `c_{P1}(P2)`.
+    #[inline]
+    pub fn diff_sign(&self, v: usize, j: usize) -> i8 {
+        debug_assert!(self.edge_off[v] as usize + j < self.edge_off[v + 1] as usize);
+        self.signs[self.edge_off[v] as usize + j]
+    }
+
     /// The augmentation set `A_Q` (Lemma 26): pruned-tree nodes of degree
     /// at least 3.
     pub fn augmentation_set(&self) -> Vec<usize> {
@@ -50,27 +62,19 @@ impl RootPrune {
 pub fn root_and_prune(world: &mut World, trees: &[Tree], q: &[bool]) -> RootPrune {
     let n = world.topology().len();
     world.reset_all_pins_keeping_links(&[BROADCAST, SYNC]);
-    let ts = build_tours(world.topology(), trees, q);
-    let mut run = PascRun::new(world, ts.specs.clone(), SYNC);
+    let mut ts = build_tours(world.topology(), trees, q);
+    let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
 
-    // One streaming subtractor per (member, incident tree edge):
-    // diff = prefixsum(out) - prefixsum(in).
-    let mut subs: Vec<Vec<StreamingSub>> = (0..n)
-        .map(|v| vec![StreamingSub::new(); ts.out_inst[v].len()])
-        .collect();
-
-    while !run.is_done() {
-        let bits = match run.data_step(world, |_| {}) {
-            Some(b) => b.to_vec(),
-            None => break,
-        };
-        let incoming = run.incoming().to_vec();
-        for (v, node_subs) in subs.iter_mut().enumerate() {
-            for (j, sub) in node_subs.iter_mut().enumerate() {
-                let out_bit = bits[ts.out_inst[v][j]];
-                let in_bit = incoming[ts.in_inst[v][j]];
-                sub.feed(out_bit, in_bit);
-            }
+    // One streaming subtractor per (member, incident tree edge), in the
+    // tours' flat edge order: diff = prefixsum(out) - prefixsum(in).
+    let mut subs = vec![StreamingSub::new(); ts.out_inst.len()];
+    while run.data_step(world, |_| {}).is_some() {
+        let (bits, incoming) = (run.bits(), run.incoming());
+        for (e, sub) in subs.iter_mut().enumerate() {
+            sub.feed(
+                bits[ts.out_inst[e] as usize],
+                incoming[ts.in_inst[e] as usize],
+            );
         }
         run.sync_step(world);
     }
@@ -79,23 +83,27 @@ pub fn root_and_prune(world: &mut World, trees: &[Tree], q: &[bool]) -> RootPrun
     let mut in_vq = vec![false; n];
     let mut parent = vec![None; n];
     let mut deg_q = vec![0u32; n];
-    let mut diff_sign: Vec<Vec<i8>> = (0..n).map(|v| vec![0; subs[v].len()]).collect();
+    let signs: Vec<i8> = subs
+        .iter()
+        .map(|sub| {
+            if sub.is_positive() {
+                1
+            } else if sub.is_negative() {
+                -1
+            } else {
+                0
+            }
+        })
+        .collect();
     for (t, tree) in trees.iter().enumerate() {
         for &v in &tree.members {
             let mut nonzero = 0;
             let mut par = None;
-            for (j, sub) in subs[v].iter().enumerate() {
-                diff_sign[v][j] = if sub.is_positive() {
-                    1
-                } else if sub.is_negative() {
-                    -1
-                } else {
-                    0
-                };
-                if !sub.is_zero() {
+            for (j, &sign) in signs[ts.edges_of(v)].iter().enumerate() {
+                if sign != 0 {
                     nonzero += 1;
                 }
-                if sub.is_positive() {
+                if sign > 0 {
                     debug_assert!(par.is_none(), "at most one positive difference");
                     par = Some(tree.adj[v][j]);
                 }
@@ -118,7 +126,8 @@ pub fn root_and_prune(world: &mut World, trees: &[Tree], q: &[bool]) -> RootPrun
         parent,
         deg_q,
         q_count,
-        diff_sign,
+        signs,
+        edge_off: ts.edge_off,
         iterations: run.iterations(),
     }
 }

@@ -65,6 +65,9 @@ pub struct PascRun {
     /// Bit emitted by each instance in the latest data round (the current
     /// bit of the instance's own prefix sum).
     bits: Vec<u8>,
+    /// Track groups `(a, b)` of each instance in the current iteration
+    /// (see [`PascRun::track_psets`]), computed once per data round.
+    psets: Vec<(u16, u16)>,
     iterations: u32,
     sync_link: usize,
     done: bool,
@@ -100,6 +103,7 @@ impl PascRun {
             values: vec![0; n],
             incoming: vec![0; n],
             bits: vec![0; n],
+            psets: vec![(u16::MAX, u16::MAX); n],
             iterations: 0,
             sync_link,
             done: false,
@@ -150,7 +154,8 @@ impl PascRun {
 
     /// The track groups of instance `i` under the current activity, as
     /// partition-set ids `(a, b)` where `a` contains the pred-side primary
-    /// pin and `b` the pred-side secondary pin.
+    /// pin and `b` the pred-side secondary pin. Each id is the minimum
+    /// singleton id of its group, the id [`World::group_pins`] assigns.
     fn track_psets(&self, c: usize, i: usize) -> (u16, u16) {
         let spec = &self.specs[i];
         let mut id_a = u16::MAX;
@@ -160,43 +165,46 @@ impl PascRun {
             id_b = (pred.port * c + pred.secondary) as u16;
         }
         for s in &spec.succs {
-            let (la, lb) = if spec.pred.is_some() && self.active[i] {
-                (s.secondary, s.primary) // crossed
-            } else {
-                (s.primary, s.secondary) // straight (start never crosses)
-            };
+            let (la, lb) = self.succ_links(i, s);
             id_a = id_a.min((s.port * c + la) as u16);
             id_b = id_b.min((s.port * c + lb) as u16);
         }
         (id_a, id_b)
     }
 
-    /// Writes this iteration's pin configuration for every instance.
-    fn configure_data(&self, world: &mut World) {
+    /// The `(a, b)` track links of successor edge `s` of instance `i`:
+    /// active non-start instances cross the tracks, everyone else
+    /// (including the start, which never crosses) connects them straight.
+    #[inline]
+    fn succ_links(&self, i: usize, s: &EdgeRef) -> (usize, usize) {
+        if self.specs[i].pred.is_some() && self.active[i] {
+            (s.secondary, s.primary)
+        } else {
+            (s.primary, s.secondary)
+        }
+    }
+
+    /// Writes this iteration's pin configuration for every instance and
+    /// records its track groups in `psets`. The pins are written in
+    /// [`World::group_pins`] order (group `a`, then group `b`; pred side
+    /// first), without building the groups as lists.
+    fn configure_data(&mut self, world: &mut World) {
         let c = world.links_per_edge();
-        for (i, spec) in self.specs.iter().enumerate() {
-            let mut group_a: Vec<(PortId, usize)> = Vec::with_capacity(1 + spec.succs.len());
-            let mut group_b: Vec<(PortId, usize)> = Vec::with_capacity(1 + spec.succs.len());
+        for i in 0..self.specs.len() {
+            let (a, b) = self.track_psets(c, i);
+            self.psets[i] = (a, b);
+            let spec = &self.specs[i];
             if let Some(pred) = spec.pred {
-                group_a.push((pred.port, pred.primary));
-                group_b.push((pred.port, pred.secondary));
+                world.set_pin(spec.node, pred.port, pred.primary, a);
             }
             for s in &spec.succs {
-                let (la, lb) = if spec.pred.is_some() && self.active[i] {
-                    (s.secondary, s.primary)
-                } else {
-                    (s.primary, s.secondary)
-                };
-                group_a.push((s.port, la));
-                group_b.push((s.port, lb));
+                world.set_pin(spec.node, s.port, self.succ_links(i, s).0, a);
             }
-            if !group_a.is_empty() {
-                let id = world.group_pins(spec.node, &group_a);
-                debug_assert_eq!(id, self.track_psets(c, i).0);
+            if let Some(pred) = spec.pred {
+                world.set_pin(spec.node, pred.port, pred.secondary, b);
             }
-            if !group_b.is_empty() {
-                let id = world.group_pins(spec.node, &group_b);
-                debug_assert_eq!(id, self.track_psets(c, i).1);
+            for s in &spec.succs {
+                world.set_pin(spec.node, s.port, self.succ_links(i, s).1, b);
             }
         }
     }
@@ -214,11 +222,10 @@ impl PascRun {
             return None;
         }
         self.configure_data(world);
-        let c = world.links_per_edge();
         // Start instances beep on the track expressing their activity.
         for (i, spec) in self.specs.iter().enumerate() {
             if spec.pred.is_none() && !spec.succs.is_empty() {
-                let (a, b) = self.track_psets(c, i);
+                let (a, b) = self.psets[i];
                 world.beep(spec.node, if self.active[i] { b } else { a });
             }
         }
@@ -232,7 +239,7 @@ impl PascRun {
                     self.active[i] as u8
                 }
                 Some(_) => {
-                    let (a, b) = self.track_psets(c, i);
+                    let (a, b) = self.psets[i];
                     let on_a = world.received(spec.node, a);
                     let on_b = world.received(spec.node, b);
                     debug_assert!(
@@ -282,17 +289,12 @@ impl PascRun {
         self.done
     }
 
-    /// One full iteration (data + sync = 2 rounds); returns the emitted bits
-    /// or `None` if already done.
-    pub fn step(&mut self, world: &mut World) -> Option<Vec<u8>> {
-        let bits = self.data_step(world, |_| {})?.to_vec();
-        self.sync_step(world);
-        Some(bits)
-    }
-
-    /// Runs until termination and returns the final values.
+    /// Runs full iterations (data + sync = 2 rounds each) until
+    /// termination and returns the final values.
     pub fn run_to_completion(&mut self, world: &mut World) -> Vec<u64> {
-        while self.step(world).is_some() {}
+        while self.data_step(world, |_| {}).is_some() {
+            self.sync_step(world);
+        }
         self.values.clone()
     }
 }
