@@ -80,11 +80,10 @@ pub fn sequential_forest(structure: &AmoebotStructure, sources: &[NodeId]) -> Ba
     let n = structure.len();
     assert!(!sources.is_empty(), "S must be non-empty");
     let mut world = World::new(Topology::from_structure(structure), LINKS);
-    let mask = vec![true; n];
     let all_mask = vec![true; n];
     let mut acc: Option<Forest> = None;
     for &s in sources {
-        let parents = spt_in_world(&mut world, structure, &mask, s.index(), &all_mask);
+        let parents = spt_in_world(&mut world, structure, s.index(), &all_mask);
         let mut f = Forest::from_parents(parents, vec![s.index()]);
         f.member = vec![true; n];
         acc = Some(match acc {

@@ -11,7 +11,7 @@ use std::fmt;
 /// (x-axis)", "merge level 3").
 #[derive(Debug, Clone, Default)]
 pub struct RoundReport {
-    phases: Vec<(String, u64)>,
+    pub(crate) phases: Vec<(String, u64)>,
 }
 
 impl RoundReport {

@@ -154,7 +154,7 @@ fn decode_gid_list(
     what: &'static str,
 ) -> Result<(Vec<u32>, BitSet), WireError> {
     let count = r.len(what)?;
-    let mut list = Vec::with_capacity(total.max(count));
+    let mut list = Vec::with_capacity(count);
     let mut bits = BitSet::new(total);
     for _ in 0..count {
         let offset = r.offset();
@@ -369,7 +369,7 @@ impl World {
         }
 
         let dirty_count = r.len("dirty-pin list")?;
-        let mut dirty_pins = Vec::with_capacity(total.max(dirty_count));
+        let mut dirty_pins = Vec::with_capacity(dirty_count);
         let mut dirty_pin = BitSet::new(total);
         for _ in 0..dirty_count {
             let offset = r.offset();
@@ -506,14 +506,14 @@ impl World {
             members,
             member_off,
             member_end,
-            // Delivery-digest caches are rebuilt lazily: the epoch
-            // starts at 1 with every stamp at 0, so the first tracing
-            // delivery to each circuit recomputes its digest.
-            member_digest: vec![0; total],
-            member_digest_epoch: vec![0; total],
+            // Delivery-digest caches are rebuilt lazily: they are empty
+            // until the first replay-grade tracing tick sizes them with
+            // every stamp at 0, so each circuit recomputes its digest.
+            member_digest: Vec::new(),
+            member_digest_epoch: Vec::new(),
             digest_epoch: 1,
             root_mark: BitSet::new(total),
-            marked_roots: Vec::with_capacity(total),
+            marked_roots: Vec::new(),
             dirty_pins,
             dirty_pin,
             pset_at_relabel,

@@ -214,7 +214,8 @@ pub struct World {
     /// first time a tracing tick delivers to the circuit, then reused
     /// every steady tick — the armed flight recorder's per-delivery
     /// digest cost drops from O(members) to O(1) per circuit between
-    /// relabels. Never read on the `NullRecorder` path.
+    /// relabels. Sized (with every stamp at 0) by replay-grade tracing
+    /// ticks only, so the `NullRecorder` path never allocates it.
     pub(crate) member_digest: Vec<u64>,
     /// Per-root validity stamp for `member_digest` (0 = never valid;
     /// `digest_epoch` starts at 1).
@@ -332,32 +333,39 @@ impl World {
                 }
             }
         }
-        let mut w = World {
+        // Every pin starts in its singleton set, its local index; the first
+        // relabel is global (`force_global`), so no pin starts dirty.
+        let pin_pset: Vec<u16> = base
+            .windows(2)
+            .flat_map(|b| 0..(b[1] - b[0]) as u16)
+            .collect();
+        World {
             topo,
             c,
             base,
-            pin_pset: vec![0; total],
+            pset_at_relabel: pin_pset.clone(),
+            pin_pset,
             links,
             free_links: Vec::new(),
             send: BitSet::new(total),
-            // Worst-case capacity up front (cheap: pages fault on first
-            // write, not at malloc), so ticks never reallocate.
-            sent: Vec::with_capacity(total),
+            // The dense lists grow on demand: worst-case reservations
+            // would cost every world, sub-run worlds included, memory that
+            // most ticks never touch.
+            sent: Vec::new(),
             recv: BitSet::new(total),
-            recv_set: Vec::with_capacity(total),
+            recv_set: Vec::new(),
             uf: vec![0; total],
             labels: vec![0; total],
             members: Vec::with_capacity(total),
             member_off: vec![0; total],
             member_end: vec![0; total],
-            member_digest: vec![0; total],
-            member_digest_epoch: vec![0; total],
+            member_digest: Vec::new(),
+            member_digest_epoch: Vec::new(),
             digest_epoch: 1,
             root_mark: BitSet::new(total),
-            marked_roots: Vec::with_capacity(total),
-            dirty_pins: Vec::with_capacity(total),
+            marked_roots: Vec::new(),
+            dirty_pins: Vec::new(),
             dirty_pin: BitSet::new(total),
-            pset_at_relabel: vec![0; total],
             force_global: true,
             circuit_roots: BitSet::new(total),
             port_edge,
@@ -381,17 +389,7 @@ impl World {
             touched: BitSet::new(n * c),
             touched_nodes: vec![Vec::new(); c],
             link_global: vec![false; c],
-        };
-        for v in 0..w.topo.len() {
-            w.singleton_pin_config(v);
         }
-        // The construction writes above marked everything dirty, but the
-        // first relabel is global regardless (`force_global`); drop the
-        // bookkeeping so the first *real* dirty set starts empty.
-        w.dirty_pins.clear();
-        w.dirty_pin.clear_all();
-        w.pset_at_relabel.copy_from_slice(&w.pin_pset);
-        w
     }
 
     /// The underlying topology.
@@ -1169,7 +1167,9 @@ impl World {
                 self.member_end[r] = cursor;
                 // The spliced bucket's cached delivery digest is stale;
                 // untouched buckets keep theirs (0 is never the epoch).
-                self.member_digest_epoch[r] = 0;
+                if let Some(stamp) = self.member_digest_epoch.get_mut(r) {
+                    *stamp = 0;
+                }
                 cursor += size;
             }
             self.members.resize(cursor as usize, 0);
@@ -1393,6 +1393,10 @@ impl World {
             }
         }
         let mut digest = 0u64;
+        if R::TRACE && R::REPLAY && self.member_digest.len() < self.labels.len() {
+            self.member_digest.resize(self.labels.len(), 0);
+            self.member_digest_epoch.resize(self.labels.len(), 0);
+        }
         if R::TRACE {
             if R::REPLAY {
                 // Net config deltas since the last relabel, captured
@@ -1606,12 +1610,15 @@ impl World {
     }
 
     /// Runs a *parallel group*: `job` on every item, where the items are
-    /// sub-runs on vertex-disjoint regions (disjoint circuits) that the
-    /// model executes in the same rounds. The simulator runs them one
-    /// after another, then rebates the counter down to the slowest
-    /// sub-run: `Σ spans − max span`, one negative charge-log entry
-    /// `rebate: {reason}` when the group has two or more items. This is
-    /// the only place the counter is rebated.
+    /// sub-runs that share no pin, so the model executes them in the same
+    /// rounds. The simulator runs them one after another, then rebates the
+    /// counter down to the slowest sub-run: `Σ spans − max span`, one
+    /// negative charge-log entry `rebate: {reason}` when the group has two
+    /// or more items. This is the only place the counter is rebated. The
+    /// premise holds by construction for sub-runs in node-disjoint child
+    /// worlds ([`World::absorb`]). It is unchecked for sub-runs in this
+    /// world: a PASC run configures its sync link on every node of its
+    /// world, so such sub-runs share one sync circuit.
     pub fn parallel<I: IntoIterator, T>(
         &mut self,
         reason: &str,
@@ -1634,6 +1641,23 @@ impl World {
             self.rebate_rounds(total - slowest, reason);
         }
         out
+    }
+
+    /// Accounts a sub-run in its own `child` world (over a sub-structure)
+    /// as if it had run in this one: its rounds, simulated rounds, charges,
+    /// charge-log entries and beeps are added, so the audit still holds and
+    /// open [`World::phase`] and [`World::parallel`] scopes see them.
+    /// Outside any phase, the child's phases join this world's ledger.
+    /// Engine diagnostics (relabel counters, timers) stay with the child.
+    pub fn absorb(&mut self, child: World) {
+        self.rounds += child.rounds;
+        self.simulated += child.simulated;
+        self.charged += child.charged;
+        self.charge_log.extend(child.charge_log);
+        self.beeps_sent += child.beeps_sent;
+        if self.phase_depth == 0 {
+            self.report.phases.extend(child.report.phases);
+        }
     }
 
     /// The round ledger: the rounds of every closed outermost
@@ -1715,8 +1739,6 @@ impl World {
             self.members.push(gid as u32);
             self.member_off.push(pos);
             self.member_end.push(pos + 1);
-            self.member_digest.push(0);
-            self.member_digest_epoch.push(0);
         }
         self.send.grow(new_total);
         self.recv.grow(new_total);
@@ -1731,20 +1753,6 @@ impl World {
         self.touched.grow(self.topo.len() * self.c);
         self.link_global.fill(false);
         self.port_edge.resize(self.port_edge.len() + ports, NO_EDGE);
-        // Keep the construction-time worst-case reservations of the dense
-        // scratch lists in step with the grown pin space, so the "ticks
-        // never reallocate" invariant survives growth (the realloc lands
-        // here, outside the hot tick path).
-        for dense in [&mut self.sent, &mut self.recv_set, &mut self.marked_roots] {
-            if dense.capacity() < new_total {
-                let len = dense.len();
-                dense.reserve(new_total - len);
-            }
-        }
-        if self.dirty_pins.capacity() < new_total {
-            let len = self.dirty_pins.len();
-            self.dirty_pins.reserve(new_total - len);
-        }
         // Each fresh singleton set is referenced by its own pin: it is a
         // circuit, counted immediately so the cached count stays exact.
         for gid in old_total..new_total {
@@ -2127,6 +2135,32 @@ mod tests {
         assert_eq!(w.report().total(), w.rounds());
         let rebates: Vec<&(String, i64)> = w.charge_log().iter().filter(|&&(_, k)| k < 0).collect();
         assert_eq!(rebates, [&("rebate: disjoint runs".to_string(), -3)]);
+    }
+
+    /// An absorbed child world's rounds, beeps and charges reconcile in
+    /// the parent, inside an open phase and outside any.
+    #[test]
+    fn absorb_reconciles_a_child_world() {
+        let child = || {
+            let mut c = path_world(3, 1);
+            c.phase("child phase", |c| {
+                c.beep(0, 0);
+                c.tick();
+                c.charge_rounds(2, "child glue");
+            });
+            c
+        };
+        let mut w = path_world(2, 1);
+        w.tick();
+        w.phase("outer", |w| w.absorb(child()));
+        w.absorb(child());
+        assert_eq!((w.rounds(), w.simulated_rounds()), (7, 3));
+        assert_eq!((w.charged_rounds(), w.beeps_sent()), (4, 2));
+        let log_sum: i64 = w.charge_log().iter().map(|&(_, k)| k).sum();
+        assert_eq!(w.simulated_rounds() as i64 + log_sum, w.rounds() as i64);
+        // "outer" and, absorbed outside any phase, "child phase".
+        assert_eq!(w.report().phases().len(), 2);
+        assert_eq!(w.report().total(), 6);
     }
 
     /// Reconfiguring *after* a tick must invalidate the cached labeling:

@@ -37,7 +37,7 @@ use crate::portals::{
     axis_portals, mark_portals, portal_centroid_decomposition, portal_root_and_prune, AxisPortals,
 };
 use crate::primitives::root_prune::root_and_prune;
-use crate::spt::spt_in_world;
+use crate::spt::region_sssp;
 use crate::tree::Tree;
 
 /// Computes an `(S, D)`-shortest path forest (Theorem 56 / Corollary 57,
@@ -76,8 +76,7 @@ pub fn shortest_path_forest(
         m
     };
 
-    let full_mask = vec![true; n];
-    let forest = sources_forest(&mut world, structure, &full_mask, &src, &src_mask);
+    let forest = sources_forest(&mut world, structure, &src, &src_mask);
 
     // Corollary 57: prune every tree with Q = D.
     let rp = world.phase("destination pruning (Corollary 57)", |w| {
@@ -165,17 +164,16 @@ struct Region {
 fn sources_forest(
     world: &mut World,
     structure: &AmoebotStructure,
-    mask: &[bool],
     src: &[usize],
     src_mask: &[bool],
 ) -> Forest {
-    let ap = axis_portals(structure, mask, Axis::X);
+    let ap = axis_portals(structure, &vec![true; structure.len()], Axis::X);
 
     // Degenerate case: the whole structure is a single x-portal (a line).
     // Q is still marked (one beep round, Lemma 51).
     if ap.portals.len() == 1 {
         return world.phase("line structure (Lemma 40)", |w| {
-            mark_portals(w, structure, mask, &ap, src_mask);
+            mark_portals(w, &ap, src_mask);
             let chain = &ap.portals[0];
             let is_source: Vec<bool> = chain.iter().map(|&v| src_mask[v]).collect();
             line_forest(w, chain, &is_source)
@@ -187,8 +185,8 @@ fn sources_forest(
     // leader is a precondition, §2.1; we use the first source).
     let leader_portal = ap.portal_of[src[0]];
     let (prp, q_prime) = world.phase("compute Q' = Q ∪ A_Q (Lemma 51)", |w| {
-        let q_portals = mark_portals(w, structure, mask, &ap, src_mask);
-        let prp = portal_root_and_prune(w, structure, mask, &ap, leader_portal, &q_portals);
+        let q_portals = mark_portals(w, &ap, src_mask);
+        let prp = portal_root_and_prune(w, structure, &ap, leader_portal, &q_portals);
         let q_prime: Vec<bool> = (0..ap.portals.len())
             .map(|p| q_portals[p] || (prp.portal_in_vq[p] && prp.portal_deg_q[p] >= 3))
             .collect();
@@ -210,14 +208,7 @@ fn sources_forest(
 
     // §5.4.2 preprocessing: elect R' ∈ Q' and root the portal tree at it.
     let (r_prime, pdepth) = world.phase("elect and root at R' (Lemmas 35, 53)", |w| {
-        let q_hat: Vec<bool> = (0..structure.len())
-            .map(|v| {
-                mask[v]
-                    && ap.portal_of[v] != u32::MAX
-                    && q_prime[ap.portal_of[v] as usize]
-                    && ap.reps[ap.portal_of[v] as usize] == v
-            })
-            .collect();
+        let q_hat = ap.rep_flags(&q_prime);
         let tree = ap.tree_rooted_at(leader_portal);
         let elected = crate::primitives::election::elect(w, std::slice::from_ref(&tree), &q_hat);
         let r_prime = ap.portal_of[elected[0].expect("Q' is non-empty")];
@@ -278,7 +269,7 @@ fn sources_forest(
     let mut remaining: Vec<Region> = live.into_iter().flatten().collect();
     assert_eq!(remaining.len(), 1, "all regions must merge into one");
     let forest = remaining.pop().unwrap().forest;
-    debug_assert_eq!(forest.member, mask);
+    debug_assert!(forest.member.iter().all(|&m| m), "forest covers all");
     forest
 }
 
@@ -635,13 +626,16 @@ fn merge_pair(
         "mark belongs to both regions"
     );
     join(world, west, east, |w, f, other| {
-        let sub = spt_in_world(w, structure, &other.member, m, &other.member);
+        let region: Vec<usize> = (0..other.member.len())
+            .filter(|&v| other.member[v])
+            .collect();
+        let sub = region_sssp(w, structure, &region, m);
         let mut out = f.clone();
-        for v in 0..sub.len() {
-            if other.member[v] && !f.member[v] {
+        for (&v, p) in region.iter().zip(sub) {
+            if !f.member[v] {
+                debug_assert!(p.is_some(), "SPT must cover the paired region");
                 out.member[v] = true;
-                out.parents[v] = sub[v];
-                debug_assert!(sub[v].is_some(), "SPT must cover the paired region");
+                out.parents[v] = p;
             }
         }
         out

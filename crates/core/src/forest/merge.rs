@@ -23,9 +23,9 @@ pub fn merge_forests(world: &mut World, f1: &Forest, f2: &Forest) -> Forest {
             world.reset_pins_keeping_links(v, &[SYNC]);
         }
     }
-    let topo = world.topology().clone();
-    let (mut specs, idx1) = tree_specs(&topo, &f1.parents, &f1.member, FWD_PRIMARY, FWD_SECONDARY);
-    let (specs2, idx2_raw) = tree_specs(&topo, &f2.parents, &f2.member, BWD_PRIMARY, BWD_SECONDARY);
+    let topo = world.topology();
+    let (mut specs, idx1) = tree_specs(topo, &f1.parents, &f1.member, FWD_PRIMARY, FWD_SECONDARY);
+    let (specs2, idx2_raw) = tree_specs(topo, &f2.parents, &f2.member, BWD_PRIMARY, BWD_SECONDARY);
     let offset = specs.len();
     specs.extend(specs2);
     let idx2: Vec<usize> = idx2_raw

@@ -21,8 +21,8 @@ use amoebot_pasc::{tree_specs, PascRun, StreamingCompare};
 
 use crate::forest::Forest;
 use crate::links::{BROADCAST, BWD_PRIMARY, FWD_PRIMARY, FWD_SECONDARY, SYNC};
-use crate::portals::axis_portals;
-use crate::spt::spt_in_world;
+use crate::portals::{axis_portals, mark_portals, portal_circuits};
+use crate::spt::region_sssp;
 
 /// Propagates `forest` (covering `A ∪ P`) across the portal given by
 /// `portal_nodes` (an axis-`axis` portal) into the amoebots of `region` it
@@ -59,11 +59,10 @@ pub fn propagate_forest(
     let key_p = axis.line_key(structure.coord(NodeId(portal_nodes[0] as u32)));
     let mut visible = vec![[false; 2]; n];
     let mut towards = vec![[None::<Direction>; 2]; n];
-    let mut portal_pset = vec![[u16::MAX; 2]; n];
     let mut cross_portals = Vec::new();
     for (ei, &e) in cross.iter().enumerate() {
         let ap = axis_portals(structure, &mask_pb, e);
-        let vis_flags = crate::portals::mark_portals(world, structure, &mask_pb, &ap, &in_portal);
+        let vis_flags = mark_portals(world, &ap, &in_portal);
         for v in 0..n {
             if !b_mask[v] {
                 continue;
@@ -98,28 +97,13 @@ pub fn propagate_forest(
             world.reset_pins_keeping_links(v, &[SYNC]);
         }
     }
-    let relay_links = [BROADCAST, BWD_PRIMARY];
-    for (ei, ap) in cross_portals.iter().enumerate() {
-        let (pos, neg) = cross[ei].directions();
-        for members in &ap.portals {
-            for &v in members {
-                let mut pins = Vec::new();
-                for d in [pos, neg] {
-                    if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-                        if mask_pb[w.index()] {
-                            pins.push((d.index(), relay_links[ei]));
-                        }
-                    }
-                }
-                if !pins.is_empty() {
-                    portal_pset[v][ei] = world.group_pins(v, &pins);
-                }
-            }
-        }
-    }
-    let topo = world.topology().clone();
+    let portal_pset: Vec<Vec<u16>> = cross_portals
+        .iter()
+        .zip([BROADCAST, BWD_PRIMARY])
+        .map(|(ap, link)| portal_circuits(world, ap, link))
+        .collect();
     let (specs, idx) = tree_specs(
-        &topo,
+        world.topology(),
         &forest.parents,
         &forest.member,
         FWD_PRIMARY,
@@ -133,9 +117,9 @@ pub fn propagate_forest(
         // bit on both of its cross-portal circuits.
         for &p in portal_nodes {
             if bits[idx[p]] == 1 {
-                for ei in 0..2 {
-                    if portal_pset[p][ei] != u16::MAX {
-                        world.beep(p, portal_pset[p][ei]);
+                for pset in &portal_pset {
+                    if pset[p] != u16::MAX {
+                        world.beep(p, pset[p]);
                     }
                 }
             }
@@ -143,10 +127,10 @@ pub fn propagate_forest(
         world.tick();
         for v in 0..n {
             if b_mask[v] && visible[v][0] && visible[v][1] {
-                let b0 =
-                    u8::from(portal_pset[v][0] != u16::MAX && world.received(v, portal_pset[v][0]));
-                let b1 =
-                    u8::from(portal_pset[v][1] != u16::MAX && world.received(v, portal_pset[v][1]));
+                let [b0, b1] = [0, 1].map(|ei| {
+                    let pset = portal_pset[ei][v];
+                    u8::from(pset != u16::MAX && world.received(v, pset))
+                });
                 cmps[v].feed(b0, b1);
             }
         }
@@ -208,6 +192,7 @@ pub fn propagate_forest(
                 }
             }
         }
+        members.sort_unstable();
         comps.push(members);
     }
     let toward_metric = |v: usize| -> (i32, i32) {
@@ -241,15 +226,11 @@ pub fn propagate_forest(
                 .expect("s_Z borders B'");
             parents[s_z] = Some(parent_of_sz);
             if members.len() > 1 {
-                let mut z_mask = vec![false; n];
-                for &m in members {
-                    z_mask[m] = true;
-                }
-                let sub_parents = spt_in_world(world, structure, &z_mask, s_z, &z_mask);
-                for &m in members {
+                let sub_parents = region_sssp(world, structure, members, s_z);
+                for (&m, p) in members.iter().zip(sub_parents) {
                     if m != s_z {
-                        parents[m] = sub_parents[m];
-                        debug_assert!(parents[m].is_some(), "SPT must cover the component");
+                        debug_assert!(p.is_some(), "SPT must cover the component");
+                        parents[m] = p;
                     }
                 }
             }

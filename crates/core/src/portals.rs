@@ -40,16 +40,16 @@ pub struct AxisPortals {
     pub tree_adj: Vec<Vec<usize>>,
 }
 
-/// Computes the portals and the implicit portal tree of the masked region
-/// for `axis`. The region must be connected; for the tree property it must
-/// also be hole-free (Lemma 9).
-pub fn axis_portals(structure: &AmoebotStructure, mask: &[bool], axis: Axis) -> AxisPortals {
+/// Computes the portals and the implicit portal tree of `region` (a node
+/// flag vector) for `axis`. The region must be connected; for the tree
+/// property it must also be hole-free (Lemma 9).
+pub fn axis_portals(structure: &AmoebotStructure, region: &[bool], axis: Axis) -> AxisPortals {
     let n = structure.len();
-    assert_eq!(mask.len(), n);
+    assert_eq!(region.len(), n);
     let nbr = |v: usize, d: Direction| -> Option<usize> {
         structure
             .neighbor(NodeId(v as u32), d)
-            .and_then(|w| mask[w.index()].then_some(w.index()))
+            .and_then(|w| region[w.index()].then_some(w.index()))
     };
 
     // Portal runs along the axis.
@@ -58,7 +58,7 @@ pub fn axis_portals(structure: &AmoebotStructure, mask: &[bool], axis: Axis) -> 
     let mut portals: Vec<Vec<usize>> = Vec::new();
     let mut reps = Vec::new();
     for v in 0..n {
-        if !mask[v] || nbr(v, neg).is_some() {
+        if !region[v] || nbr(v, neg).is_some() {
             continue;
         }
         let p = portals.len() as u32;
@@ -76,7 +76,7 @@ pub fn axis_portals(structure: &AmoebotStructure, mask: &[bool], axis: Axis) -> 
     // Implicit portal tree adjacency via the local rule of Definition 12.
     let mut tree_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     for v in 0..n {
-        if !mask[v] {
+        if !region[v] {
             continue;
         }
         for d in ALL_DIRECTIONS {
@@ -144,6 +144,16 @@ impl AxisPortals {
         tree
     }
 
+    /// The flags of `Q̂` over the whole node range: the representatives of
+    /// the portals flagged in `q_portals` (§3.5).
+    pub(crate) fn rep_flags(&self, q_portals: &[bool]) -> Vec<bool> {
+        let mut flags = vec![false; self.portal_of.len()];
+        for (&rep, &q) in self.reps.iter().zip(q_portals) {
+            flags[rep] = q;
+        }
+        flags
+    }
+
     /// The portal-level adjacency (quotient graph): for each portal, its
     /// adjacent portals via inter-portal tree edges, together with the
     /// connector amoebots `c_{P1}(P2)` (§3.5). Sorted by neighbor portal id.
@@ -166,37 +176,40 @@ impl AxisPortals {
     }
 }
 
-/// One-round portal marking (used for `Q = {P : P ∩ S ≠ ∅}`, §5.4.1, and
-/// for destination portals in §4): each portal forms a circuit along its
-/// axis pins on the BROADCAST link, flagged members beep, and every member
-/// learns whether its portal contains a flagged amoebot.
-pub fn mark_portals(
-    world: &mut World,
-    structure: &AmoebotStructure,
-    mask: &[bool],
-    ap: &AxisPortals,
-    flags: &[bool],
-) -> Vec<bool> {
-    let n = structure.len();
-    world.reset_all_pins_keeping_links(&[SYNC]);
+/// Forms every portal's circuit along its axis pins on `link` (Figure 4a)
+/// and returns each node's partition set on it (`u16::MAX` for members of
+/// singleton portals and for nodes outside the region). Consecutive
+/// members of a portal are exactly its in-region axis neighbours.
+pub(crate) fn portal_circuits(world: &mut World, ap: &AxisPortals, link: usize) -> Vec<u16> {
     let (pos, neg) = ap.axis.directions();
-    let mut pset = vec![u16::MAX; n];
+    let mut pset = vec![u16::MAX; ap.portal_of.len()];
     for members in &ap.portals {
-        for &v in members {
-            let mut pins = Vec::new();
-            for d in [pos, neg] {
-                if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-                    if mask[w.index()] {
-                        pins.push((d.index(), BROADCAST));
-                    }
-                }
+        for (i, &v) in members.iter().enumerate() {
+            let mut pins = Vec::with_capacity(2);
+            if i + 1 < members.len() {
+                pins.push((pos.index(), link));
+            }
+            if i > 0 {
+                pins.push((neg.index(), link));
             }
             if !pins.is_empty() {
                 pset[v] = world.group_pins(v, &pins);
             }
-            if flags[v] && pset[v] != u16::MAX {
-                world.beep(v, pset[v]);
-            }
+        }
+    }
+    pset
+}
+
+/// One-round portal marking (used for `Q = {P : P ∩ S ≠ ∅}`, §5.4.1, and
+/// for destination portals in §4): each portal forms a circuit along its
+/// axis pins on the BROADCAST link, flagged members beep, and every member
+/// learns whether its portal contains a flagged amoebot.
+pub fn mark_portals(world: &mut World, ap: &AxisPortals, flags: &[bool]) -> Vec<bool> {
+    world.reset_all_pins_keeping_links(&[SYNC]);
+    let pset = portal_circuits(world, ap, BROADCAST);
+    for &v in ap.portals.iter().flatten() {
+        if flags[v] && pset[v] != u16::MAX {
+            world.beep(v, pset[v]);
         }
     }
     world.tick();
@@ -243,11 +256,11 @@ pub struct PortalRootPrune {
 /// tree at `root_portal`, prunes subtrees without portals in `q_portals`,
 /// and disseminates both the `V_Q` membership (portal circuits) and the
 /// parent-portal relation (per-directed-edge circuits) to every member
-/// amoebot. `O(log |Q|)` rounds (Lemma 33).
+/// amoebot. `O(log |Q|)` rounds (Lemma 33). `ap` must cover the whole
+/// structure.
 pub fn portal_root_and_prune(
     world: &mut World,
     structure: &AmoebotStructure,
-    mask: &[bool],
     ap: &AxisPortals,
     root_portal: u32,
     q_portals: &[bool],
@@ -257,94 +270,45 @@ pub fn portal_root_and_prune(
 
     // Node-level ETT on the implicit portal tree with Q̂ = representatives
     // of Q-portals (Lemma 32 transfers the prefix-sum differences).
-    let q_hat: Vec<bool> = (0..n)
-        .map(|v| {
-            mask[v]
-                && ap.portal_of[v] != u32::MAX
-                && q_portals[ap.portal_of[v] as usize]
-                && ap.reps[ap.portal_of[v] as usize] == v
-        })
-        .collect();
+    let q_hat = ap.rep_flags(q_portals);
     let tree = ap.tree_rooted_at(root_portal);
     let rp = root_and_prune(world, std::slice::from_ref(&tree), &q_hat);
     let q_count = rp.q_count[0];
 
     // Collect, per portal, the signed differences at its connector amoebots.
     // diff > 0 towards a neighbor portal means that neighbor is the parent.
+    // Connectors with a non-zero diff beep in round 1, and so does the root
+    // portal's representative iff |Q| > 0.
     let mut portal_nonzero = vec![0u32; ap.portals.len()];
     let mut portal_parent_edge: Vec<Option<(usize, usize)>> = vec![None; ap.portals.len()];
+    let mut beeps = vec![false; n];
+    beeps[ap.reps[root_portal as usize]] = q_count > 0;
     for v in 0..n {
-        if !mask[v] {
-            continue;
-        }
+        let p = ap.portal_of[v] as usize;
         for (j, &w) in tree.adj[v].iter().enumerate() {
-            if ap.portal_of[w] == ap.portal_of[v] {
+            if ap.portal_of[w] as usize == p {
                 continue; // intra-portal edge
             }
             match rp.diff_sign(v, j) {
                 0 => {}
                 s => {
-                    portal_nonzero[ap.portal_of[v] as usize] += 1;
+                    portal_nonzero[p] += 1;
+                    beeps[v] = true;
                     if s > 0 {
                         debug_assert!(
-                            portal_parent_edge[ap.portal_of[v] as usize].is_none(),
+                            portal_parent_edge[p].is_none(),
                             "a portal has at most one parent"
                         );
-                        portal_parent_edge[ap.portal_of[v] as usize] = Some((v, w));
+                        portal_parent_edge[p] = Some((v, w));
                     }
                 }
             }
         }
     }
 
-    // Dissemination round 1 (Figure 4a): each portal forms a circuit along
-    // its axis pins on the BROADCAST link; connectors with non-zero diff
-    // beep; the root portal's representative beeps iff |Q| > 0. Every member
-    // then knows whether its portal is in V_Q.
-    world.reset_all_pins_keeping_links(&[SYNC]);
-    let (pos, neg) = ap.axis.directions();
-    let mut portal_pset = vec![u16::MAX; n];
-    for members in &ap.portals {
-        for &v in members {
-            let mut pins = Vec::new();
-            for d in [pos, neg] {
-                if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-                    if mask[w.index()] {
-                        pins.push((d.index(), BROADCAST));
-                    }
-                }
-            }
-            if !pins.is_empty() {
-                portal_pset[v] = world.group_pins(v, &pins);
-            }
-        }
-    }
-    for v in 0..n {
-        if !mask[v] {
-            continue;
-        }
-        let p = ap.portal_of[v] as usize;
-        let is_connector_nonzero = tree.adj[v]
-            .iter()
-            .enumerate()
-            .any(|(j, &w)| ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign(v, j) != 0);
-        let root_beep = p as u32 == root_portal && ap.reps[p] == v && q_count > 0;
-        if (is_connector_nonzero || root_beep) && portal_pset[v] != u16::MAX {
-            world.beep(v, portal_pset[v]);
-        }
-    }
-    world.tick();
-    let mut portal_in_vq = vec![false; ap.portals.len()];
-    for (p, members) in ap.portals.iter().enumerate() {
-        // Every member hears the same circuit; read it at the representative
-        // (singleton portals check locally).
-        let rep = ap.reps[p];
-        portal_in_vq[p] = if members.len() == 1 || portal_pset[rep] == u16::MAX {
-            portal_nonzero[p] > 0 || (p as u32 == root_portal && q_count > 0)
-        } else {
-            world.received(rep, portal_pset[rep])
-        };
-    }
+    // Dissemination round 1 (Figure 4a): on the portal circuits, every
+    // member learns whether its portal is in V_Q.
+    let portal_in_vq = mark_portals(world, ap, &beeps);
 
     // Dissemination round 2 (Figure 4b): per-directed-edge circuits. For
     // each side of each portal, members adjacent to the neighboring portal
@@ -352,18 +316,13 @@ pub fn portal_root_and_prune(
     // of the parent edge beeps; every receiving member knows its cross
     // neighbors on that side are in the parent portal.
     world.reset_all_pins_keeping_links(&[SYNC, BROADCAST]);
+    let (pos, neg) = ap.axis.directions();
     let sides = ap.axis.cross_sides();
     let side_links = [FWD_PRIMARY, FWD_SECONDARY];
     let mut side_pset = vec![[u16::MAX; 2]; n];
     for v in 0..n {
-        if !mask[v] {
-            continue;
-        }
         for (s, &(cb, cf)) in sides.iter().enumerate() {
-            let has = |d: Direction| matches!(structure.neighbor(NodeId(v as u32), d), Some(w) if mask[w.index()]);
-            if !has(cb) && !has(cf) {
-                continue; // not adjacent to a portal on this side
-            }
+            let has = |d: Direction| structure.neighbor(NodeId(v as u32), d).is_some();
             let mut pins = Vec::new();
             // Connect along +axis iff the forward cross neighbor exists
             // (then the +axis neighbor shares this side's adjacent portal);
@@ -381,39 +340,30 @@ pub fn portal_root_and_prune(
     }
     // Connectors of parent edges beep on the circuit of their side.
     let mut parent_beeped: Vec<[bool; 2]> = vec![[false; 2]; n];
-    for p in 0..ap.portals.len() {
-        if let Some((v, w)) = portal_parent_edge[p] {
-            let d = Direction::between(
-                structure.coord(NodeId(v as u32)),
-                structure.coord(NodeId(w as u32)),
-            )
-            .expect("tree edge endpoints adjacent");
-            let s = sides
-                .iter()
-                .position(|&(cb, cf)| d == cb || d == cf)
-                .expect("inter-portal edge uses a cross direction");
-            parent_beeped[v][s] = true;
-            if side_pset[v][s] != u16::MAX {
-                world.beep(v, side_pset[v][s]);
+    for &(v, w) in portal_parent_edge.iter().flatten() {
+        // An inter-portal edge uses a cross direction of exactly one side.
+        let towards_w =
+            |d: Direction| structure.neighbor(NodeId(v as u32), d) == Some(NodeId(w as u32));
+        for (s, &(cb, cf)) in sides.iter().enumerate() {
+            if towards_w(cb) || towards_w(cf) {
+                parent_beeped[v][s] = true;
+                if side_pset[v][s] != u16::MAX {
+                    world.beep(v, side_pset[v][s]);
+                }
             }
         }
     }
     world.tick();
     let mut parent_side = vec![[false; 6]; n];
     for v in 0..n {
-        if !mask[v] {
-            continue;
-        }
         for (s, &(cb, cf)) in sides.iter().enumerate() {
             let heard = (side_pset[v][s] != u16::MAX && world.received(v, side_pset[v][s]))
                 || parent_beeped[v][s];
             if heard {
                 for d in [cb, cf] {
                     if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-                        if mask[w.index()] {
-                            debug_assert_ne!(ap.portal_of[w.index()], ap.portal_of[v]);
-                            parent_side[v][d.index()] = true;
-                        }
+                        debug_assert_ne!(ap.portal_of[w.index()], ap.portal_of[v]);
+                        parent_side[v][d.index()] = true;
                     }
                 }
             }
@@ -542,7 +492,7 @@ mod tests {
         let root_portal = ap.portal_of[s.len() / 2];
         let topo = Topology::from_structure(&s);
         let mut world = World::new(topo, LINKS);
-        let out = portal_root_and_prune(&mut world, &s, &mask, &ap, root_portal, &q_portals);
+        let out = portal_root_and_prune(&mut world, &s, &ap, root_portal, &q_portals);
         assert_eq!(out.q_count, 2);
         // Reference: portal-level BFS tree rooted at root_portal.
         let adj = ap.portal_tree_edges();
@@ -626,28 +576,18 @@ mod tests {
 /// Returns the elected portal, or `None` if no portal is in `Q`.
 pub fn portal_elect(
     world: &mut World,
-    structure: &AmoebotStructure,
-    mask: &[bool],
     ap: &AxisPortals,
     root_portal: u32,
     q_portals: &[bool],
 ) -> Option<u32> {
-    let n = structure.len();
-    let q_hat: Vec<bool> = (0..n)
-        .map(|v| {
-            mask[v]
-                && ap.portal_of[v] != u32::MAX
-                && q_portals[ap.portal_of[v] as usize]
-                && ap.reps[ap.portal_of[v] as usize] == v
-        })
-        .collect();
+    let q_hat = ap.rep_flags(q_portals);
     let tree = ap.tree_rooted_at(root_portal);
     let elected = crate::primitives::election::elect(world, std::slice::from_ref(&tree), &q_hat);
     let r = elected[0]?;
     // Announcement round (Figure 4a): the elected representative beeps on
     // its portal circuit; each member of R' identifies itself.
-    let flags: Vec<bool> = (0..n).map(|v| v == r).collect();
-    let marked = mark_portals(world, structure, mask, ap, &flags);
+    let flags: Vec<bool> = (0..ap.portal_of.len()).map(|v| v == r).collect();
+    let marked = mark_portals(world, ap, &flags);
     let portal = ap.portal_of[r];
     debug_assert!(marked[portal as usize]);
     Some(portal)
@@ -660,52 +600,28 @@ pub fn portal_elect(
 /// `size_{P1}(P2)` at the connector amoebots against `|Q|/2` (the root's
 /// representative broadcasts the current bit of `|Q|` each iteration on the
 /// structure-spanning broadcast circuit); a final portal-circuit round lets
-/// connectors with an oversized component veto their portal.
+/// connectors with an oversized component veto their portal. `ap` must
+/// cover the whole structure.
 pub fn portal_centroids(
     world: &mut World,
-    structure: &AmoebotStructure,
-    mask: &[bool],
     ap: &AxisPortals,
     root_portal: u32,
     q_portals: &[bool],
 ) -> Vec<bool> {
     use amoebot_pasc::{HalfCompare, PascRun, StreamingSub};
 
-    let n = structure.len();
-    let q_hat: Vec<bool> = (0..n)
-        .map(|v| {
-            mask[v]
-                && ap.portal_of[v] != u32::MAX
-                && q_portals[ap.portal_of[v] as usize]
-                && ap.reps[ap.portal_of[v] as usize] == v
-        })
-        .collect();
+    let n = ap.portal_of.len();
+    let q_hat = ap.rep_flags(q_portals);
     let tree = ap.tree_rooted_at(root_portal);
     // Pass 1: root the portal tree (parent relation at the connectors).
     let rp = root_and_prune(world, std::slice::from_ref(&tree), &q_hat);
-    // The portal-level parent edge: the inter-portal edge with diff > 0.
-    let mut parent_edge_of: Vec<Option<(usize, usize)>> = vec![None; ap.portals.len()];
-    for v in 0..n {
-        if !mask[v] {
-            continue;
-        }
-        for (j, &w) in tree.adj[v].iter().enumerate() {
-            if ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign(v, j) > 0 {
-                parent_edge_of[ap.portal_of[v] as usize] = Some((v, w));
-            }
-        }
-    }
 
     // Pass 2: stream sizes against |Q|/2 (3 rounds per iteration).
     world.reset_all_pins_keeping_links(&[SYNC]);
     let mut ts = crate::ett::build_tours(world.topology(), std::slice::from_ref(&tree), &q_hat);
     let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
     // Structure-spanning broadcast circuit for the |Q| bits.
-    for v in 0..n {
-        if mask[v] {
-            world.global_link_config(v, BROADCAST);
-        }
-    }
+    world.global_link_config_all(BROADCAST);
     let bpset = World::global_link_pset(BROADCAST);
     let r_hat = tree.root;
 
@@ -720,18 +636,15 @@ pub fn portal_centroids(
             cmp: HalfCompare,
         },
     }
-    // One stream per inter-portal connector (v, adjacency index).
+    // One stream per inter-portal connector (v, adjacency index); the
+    // portal-level parent edge is the inter-portal edge with diff > 0.
     let mut streams: Vec<(usize, usize, Stream)> = Vec::new();
     for v in 0..n {
-        if !mask[v] {
-            continue;
-        }
         for (j, &w) in tree.adj[v].iter().enumerate() {
             if ap.portal_of[w] == ap.portal_of[v] {
                 continue;
             }
-            let p = ap.portal_of[v] as usize;
-            let s = if parent_edge_of[p] == Some((v, w)) {
+            let s = if rp.diff_sign(v, j) > 0 {
                 Stream::Parent {
                     inner: StreamingSub::new(),
                     outer: StreamingSub::new(),
@@ -784,7 +697,7 @@ pub fn portal_centroids(
         let (Stream::Parent { cmp, .. } | Stream::Child { cmp, .. }) = stream;
         veto_flags[*v] |= !cmp.le_half();
     }
-    let vetoed = mark_portals(world, structure, mask, ap, &veto_flags);
+    let vetoed = mark_portals(world, ap, &veto_flags);
     (0..ap.portals.len())
         .map(|p| q_portals[p] && !vetoed[p])
         .collect()
@@ -851,7 +764,7 @@ mod portal_primitive_tests {
         q[1] = true;
         q[3] = true;
         let before = world.rounds();
-        let elected = portal_elect(&mut world, &s, &mask, &ap, 0, &q);
+        let elected = portal_elect(&mut world, &ap, 0, &q);
         assert_eq!(world.rounds() - before, 2, "election + announcement");
         let e = elected.unwrap();
         assert!(q[e as usize], "elected portal must be in Q");
@@ -862,7 +775,7 @@ mod portal_primitive_tests {
         let (s, mut world, mask) = setup(shapes::parallelogram(4, 3));
         let ap = axis_portals(&s, &mask, Axis::X);
         let q = vec![false; ap.portals.len()];
-        assert_eq!(portal_elect(&mut world, &s, &mask, &ap, 0, &q), None);
+        assert_eq!(portal_elect(&mut world, &ap, 0, &q), None);
     }
 
     /// Centralized reference for portal Q-centroids.
@@ -923,7 +836,7 @@ mod portal_primitive_tests {
             },
         ] {
             let mut world = World::new(Topology::from_structure(&s), LINKS);
-            let got = portal_centroids(&mut world, &s, &mask, &ap, 0, &q_pattern);
+            let got = portal_centroids(&mut world, &ap, 0, &q_pattern);
             let expect = reference_portal_centroids(&ap, &q_pattern);
             assert_eq!(got, expect, "pattern {q_pattern:?}");
         }
@@ -934,7 +847,7 @@ mod portal_primitive_tests {
         let (s, mut world, mask) = setup(shapes::comb(9, 4));
         let ap = axis_portals(&s, &mask, Axis::X);
         let q = vec![true; ap.portals.len()];
-        let got = portal_centroids(&mut world, &s, &mask, &ap, 0, &q);
+        let got = portal_centroids(&mut world, &ap, 0, &q);
         let expect = reference_portal_centroids(&ap, &q);
         assert_eq!(got, expect);
     }

@@ -36,12 +36,11 @@ pub fn shortest_path_tree(
 ) -> ForestOutcome {
     assert!(!dests.is_empty(), "D must be non-empty");
     let mut world = World::new(Topology::from_structure(structure), LINKS);
-    let mask = vec![true; structure.len()];
     let mut dest_mask = vec![false; structure.len()];
     for &d in dests {
         dest_mask[d.index()] = true;
     }
-    let parents = spt_in_world(&mut world, structure, &mask, source.index(), &dest_mask);
+    let parents = spt_in_world(&mut world, structure, source.index(), &dest_mask);
     let parents = parents
         .into_iter()
         .map(|p| p.map(|v| NodeId(v as u32)))
@@ -60,41 +59,64 @@ pub fn sssp(structure: &AmoebotStructure, source: NodeId) -> ForestOutcome {
     shortest_path_tree(structure, source, &all)
 }
 
-/// The region-scoped SPT used both stand-alone and as a subroutine of the
-/// propagation and merging algorithms (§5.3, §5.4.3). Operates on the
-/// sub-structure selected by `mask`; `dest_mask` is intersected with it.
-/// Returns chosen parents (plain `usize` indices).
+/// The region SPT of §5.3 phase 2 and the §5.4.3 pair merges: the shortest
+/// path tree from `source` to every member of the region `members`. It
+/// runs on the induced sub-structure in a child world that `world` absorbs
+/// ([`World::absorb`]); `members` ascend, so local ids keep every
+/// id-ordered tie-break. Returns the members' parents, aligned with them.
+///
+/// # Panics
+///
+/// Panics if `source` is not a member or the region is not connected.
+pub(crate) fn region_sssp(
+    world: &mut World,
+    structure: &AmoebotStructure,
+    members: &[usize],
+    source: usize,
+) -> Vec<Option<usize>> {
+    debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascend");
+    let local_source = members.partition_point(|&v| v < source);
+    assert_eq!(
+        members.get(local_source),
+        Some(&source),
+        "source must lie in the region"
+    );
+    let sub = AmoebotStructure::new(members.iter().map(|&v| structure.coord(NodeId(v as u32))))
+        .expect("a region is a connected sub-structure");
+    let mut child = World::new(Topology::from_structure(&sub), LINKS);
+    let parents = spt_in_world(&mut child, &sub, local_source, &vec![true; members.len()]);
+    world.absorb(child);
+    parents.into_iter().map(|p| p.map(|l| members[l])).collect()
+}
+
+/// The SPT of Theorem 39 over the whole `structure` in `world`, with the
+/// destinations flagged in `dest_mask`. Returns chosen parents (plain
+/// `usize` indices).
 pub fn spt_in_world(
     world: &mut World,
     structure: &AmoebotStructure,
-    mask: &[bool],
     source: usize,
     dest_mask: &[bool],
 ) -> Vec<Option<usize>> {
     let n = structure.len();
-    assert!(mask[source], "source must lie in the region");
-    let dests: Vec<usize> = (0..n).filter(|&v| mask[v] && dest_mask[v]).collect();
-    if dests.is_empty() || dests == [source] {
+    if !(0..n).any(|v| dest_mask[v] && v != source) {
         return vec![None; n];
     }
 
     // Phase 1-3: portal root-and-prune per axis (rooted at the source's
     // portal, Q = destination portals).
     let mut feasible = vec![[true; 6]; n]; // and-accumulated across axes
-    let flags: Vec<bool> = (0..n).map(|v| mask[v] && dest_mask[v]).collect();
+    let whole = vec![true; n];
     for axis in ALL_AXES {
-        let ap = axis_portals(structure, mask, axis);
+        let ap = axis_portals(structure, &whole, axis);
         let prp = world.phase(format!("portal root-and-prune ({axis}-axis)"), |w| {
-            let q_portals = mark_portals(w, structure, mask, &ap, &flags);
-            portal_root_and_prune(w, structure, mask, &ap, ap.portal_of[source], &q_portals)
+            let q_portals = mark_portals(w, &ap, dest_mask);
+            portal_root_and_prune(w, structure, &ap, ap.portal_of[source], &q_portals)
         });
         // A neighbor via direction d contributes to Equation (1) through
         // this axis iff d is parallel to the axis (same portal, difference
         // 0) or points into the parent portal (difference +1).
         for v in 0..n {
-            if !mask[v] {
-                continue;
-            }
             for d in ALL_DIRECTIONS {
                 let ok = d.axis() == axis || prp.parent_side[v][d.index()];
                 feasible[v][d.index()] &= ok;
@@ -104,21 +126,12 @@ pub fn spt_in_world(
 
     // Parent choice (Equation 1 / Lemma 38): local, no communication.
     let mut chosen: Vec<Option<usize>> = vec![None; n];
-    for v in 0..n {
-        if !mask[v] || v == source {
-            continue;
-        }
-        for d in ALL_DIRECTIONS {
-            if !feasible[v][d.index()] {
-                continue;
-            }
-            if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-                if mask[w.index()] {
-                    chosen[v] = Some(w.index());
-                    break;
-                }
-            }
-        }
+    for v in (0..n).filter(|&v| v != source) {
+        chosen[v] = ALL_DIRECTIONS
+            .into_iter()
+            .filter(|d| feasible[v][d.index()])
+            .find_map(|d| structure.neighbor(NodeId(v as u32), d))
+            .map(NodeId::index);
     }
 
     // Phase 4: cleanup. Components not containing s never receive a signal
@@ -264,6 +277,54 @@ mod tests {
         let out = shortest_path_tree(&s, NodeId(0), &[NodeId(0)]);
         // The forest is just the source; no parents anywhere.
         assert!(out.parents.iter().all(|p| p.is_none()));
+    }
+
+    /// Runs `region_sssp` in a world that already spent rounds: the tree
+    /// must be a shortest path tree of the induced region, and the world
+    /// must gain exactly a stand-alone run's rounds and beeps.
+    fn check_region_sssp(s: &AmoebotStructure, members: &[usize], source: usize) {
+        let mut world = World::new(Topology::from_structure(s), LINKS);
+        world.tick();
+        world.charge_rounds(2, "earlier glue");
+        let (rounds, beeps) = (world.rounds(), world.beeps_sent());
+        let parents = region_sssp(&mut world, s, members, source);
+        let local = |v: usize| NodeId(members.binary_search(&v).expect("in the region") as u32);
+        let sub =
+            AmoebotStructure::new(members.iter().map(|&v| s.coord(NodeId(v as u32)))).unwrap();
+        let local_parents: Vec<Option<NodeId>> = parents.iter().map(|p| p.map(local)).collect();
+        let all: Vec<NodeId> = sub.nodes().collect();
+        let violations = validate_forest(&sub, &[local(source)], &all, &local_parents);
+        assert!(violations.is_empty(), "{violations:?}");
+        let alone = sssp(&sub, local(source));
+        assert_eq!(world.rounds() - rounds, alone.rounds);
+        assert_eq!(world.beeps_sent() - beeps, alone.beeps);
+    }
+
+    #[test]
+    fn region_sssp_on_half_plane_regions() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in [20usize, 60, 150] {
+            let s = AmoebotStructure::new(shapes::random_blob(n, &mut rng)).unwrap();
+            let seed = rng.gen_range(0..n);
+            // The component of the half plane `q <= cut` around `seed`.
+            let cut = s.coord(NodeId(seed as u32)).q;
+            let (mut in_half, mut stack) = (vec![false; n], vec![seed]);
+            in_half[seed] = true;
+            while let Some(v) = stack.pop() {
+                for (_, w) in s.neighbors_of(NodeId(v as u32)) {
+                    if s.coord(w).q <= cut && !std::mem::replace(&mut in_half[w.index()], true) {
+                        stack.push(w.index());
+                    }
+                }
+            }
+            let half: Vec<usize> = (0..n).filter(|&v| in_half[v]).collect();
+            check_region_sssp(&s, &half, half[rng.gen_range(0..half.len())]);
+            check_region_sssp(&s, &[seed], seed);
+            let (_, w) = s.neighbors_of(NodeId(seed as u32)).next().unwrap();
+            let pair = [seed.min(w.index()), seed.max(w.index())];
+            check_region_sssp(&s, &pair, seed);
+            check_region_sssp(&s, &pair, w.index());
+        }
     }
 
     #[test]

@@ -169,9 +169,8 @@ fn charge_log_reconciles_for_real_algorithm_runs() {
     let structure = AmoebotStructure::new(shapes::hexagon(5)).unwrap();
     let n = structure.len();
     let mut world = World::new(Topology::from_structure(&structure), 6);
-    let mask = vec![true; n];
     let dest_mask = vec![true; n];
-    let parents = spt_in_world(&mut world, &structure, &mask, 0, &dest_mask);
+    let parents = spt_in_world(&mut world, &structure, 0, &dest_mask);
     assert!(parents.iter().filter(|p| p.is_some()).count() > 0);
 
     let log_sum: i64 = world.charge_log().iter().map(|&(_, k)| k).sum();
