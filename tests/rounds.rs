@@ -62,3 +62,59 @@ fn forest_rounds_polylog_in_k() {
         "forest rounds must grow sublinearly in k: {r4} -> {r8}"
     );
 }
+
+/// FNV-1a 64 over a byte stream.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins the divide & conquer forest's exact behaviour on fixed blobs:
+/// rounds, beeps, the per-phase ledger and the parents. A refactor of the
+/// forest glue must leave all of them unchanged; a deliberate change
+/// updates the table and says per lemma why the numbers moved.
+#[test]
+fn forest_fingerprints_are_pinned() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    // (n, k, |D| or 0 for all, seed) -> (rounds, beeps, phases digest,
+    // parents digest).
+    #[rustfmt::skip]
+    let pinned = [
+        ((80, 2, 0, 1), (186, 832, 555616563476352678, 1319288560579527708)),
+        ((80, 4, 20, 2), (387, 1158, 10531114803740629103, 2175586032485703916)),
+        ((80, 8, 0, 3), (530, 2128, 1163275356634862018, 12751729531150313757)),
+        ((300, 2, 30, 4), (491, 5242, 12148514964463682347, 13408376737705582979)),
+        ((300, 4, 0, 5), (465, 3691, 6034681818242534057, 17500995325128908530)),
+        ((300, 8, 60, 6), (726, 5493, 8844335287348505286, 12111470626353871658)),
+    ];
+    for ((n, k, l, seed), want) in pinned {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let s = AmoebotStructure::new(shapes::random_blob(n, &mut rng)).unwrap();
+        let ids =
+            |v: Vec<usize>| -> Vec<NodeId> { v.into_iter().map(|i| NodeId(i as u32)).collect() };
+        let sources = ids(shapes::random_subset(n, k, &mut rng));
+        let dests = if l == 0 {
+            s.nodes().collect()
+        } else {
+            ids(shapes::random_subset(n, l, &mut rng))
+        };
+        let out = spf::core::forest::shortest_path_forest(&s, &sources, &dests);
+        let phases = fnv(out
+            .report
+            .phases()
+            .iter()
+            .flat_map(|(name, r)| name.bytes().chain(r.to_le_bytes())));
+        let parents = fnv(out
+            .parents
+            .iter()
+            .flat_map(|p| p.map_or(u32::MAX, |v| v.0).to_le_bytes()));
+        assert_eq!(
+            (out.rounds, out.beeps, phases, parents),
+            want,
+            "n = {n}, k = {k}, |D| = {l}, seed = {seed}:\n{}",
+            out.report
+        );
+    }
+}
