@@ -84,8 +84,10 @@ pub fn sequential_forest(structure: &AmoebotStructure, sources: &[NodeId]) -> Ba
     let mut acc: Option<Forest> = None;
     for &s in sources {
         let parents = spt_in_world(&mut world, structure, s.index(), &all_mask);
-        let mut f = Forest::from_parents(parents, vec![s.index()]);
-        f.member = vec![true; n];
+        let f = Forest {
+            parents,
+            sources: vec![s.index()],
+        };
         acc = Some(match acc {
             None => f,
             Some(prev) => merge_forests(&mut world, &prev, &f),

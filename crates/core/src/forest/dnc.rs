@@ -37,7 +37,7 @@ use crate::portals::{
     axis_portals, mark_portals, portal_centroid_decomposition, portal_root_and_prune, AxisPortals,
 };
 use crate::primitives::root_prune::root_and_prune;
-use crate::spt::region_sssp;
+use crate::spt::{induced, region_sssp, sub_run};
 use crate::tree::Tree;
 
 /// Computes an `(S, D)`-shortest path forest (Theorem 56 / Corollary 57,
@@ -63,38 +63,38 @@ pub fn shortest_path_forest(
         return crate::spt::shortest_path_tree(structure, NodeId(src[0] as u32), dests);
     }
 
-    let mut world = World::new(Topology::from_structure(structure), LINKS);
-    let mut dest_mask = vec![false; n];
-    for d in dests {
-        dest_mask[d.index()] = true;
-    }
-    let src_mask: Vec<bool> = {
-        let mut m = vec![false; n];
-        for &s in &src {
-            m[s] = true;
-        }
-        m
-    };
+    // The forest's own world keeps only the round ledger: every step runs
+    // as a sub-run on the whole structure or on a region of it.
+    let mut world = World::new(Topology::from_edges(0, &[]), LINKS);
+    let forest = sources_forest(&mut world, structure, &src);
 
-    let forest = sources_forest(&mut world, structure, &src, &src_mask);
-
-    // Corollary 57: prune every tree with Q = D.
+    // Corollary 57: prune every tree with Q = D. Each source's tree is
+    // found by a walk down the children lists; its edges go in child order.
     let rp = world.phase("destination pruning (Corollary 57)", |w| {
-        let roots = forest_roots(&forest);
+        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (v, p) in forest.parents.iter().enumerate() {
+            if let &Some(p) = p {
+                children[p].push(v);
+            }
+        }
         let trees: Vec<Tree> = forest
             .sources
             .iter()
             .map(|&s| {
-                let mut parents = vec![None; n];
-                for v in 0..n {
-                    if forest.member[v] && roots[v] == s as u32 {
-                        parents[v] = forest.parents[v];
-                    }
+                let (mut edges, mut stack) = (Vec::new(), vec![s]);
+                while let Some(p) = stack.pop() {
+                    edges.extend(children[p].iter().map(|&v| (p, v)));
+                    stack.extend_from_slice(&children[p]);
                 }
-                Tree::from_parents(n, s, &parents)
+                edges.sort_unstable_by_key(|&(_, v)| v);
+                Tree::from_edges(n, s, &edges)
             })
             .collect();
-        root_and_prune(w, &trees, &dest_mask)
+        let mut dest_mask = vec![false; n];
+        for d in dests {
+            dest_mask[d.index()] = true;
+        }
+        sub_run(w, structure, |w| root_and_prune(w, &trees, &dest_mask))
     });
 
     let parents: Vec<Option<NodeId>> = (0..n)
@@ -109,74 +109,49 @@ pub fn shortest_path_forest(
     ForestOutcome::new(&world, parents)
 }
 
-/// The root of every node under `f`'s parent pointers, memoized with path
-/// compression: one O(n) pass over two flat arrays. The previous
-/// per-(source, node) upward walks cost O(n · k · depth) and dominated
-/// destination pruning once the structure outgrew ~10^4 nodes.
-fn forest_roots(f: &Forest) -> Vec<u32> {
-    const UNKNOWN: u32 = u32::MAX;
-    let n = f.parents.len();
-    let mut root = vec![UNKNOWN; n];
-    let mut path: Vec<u32> = Vec::new();
-    for v in 0..n {
-        if root[v] != UNKNOWN {
-            continue;
-        }
-        let mut x = v;
-        path.clear();
-        while root[x] == UNKNOWN {
-            match f.parents[x] {
-                // The length guard mirrors the old defensive cycle check:
-                // a (never expected) parent cycle terminates instead of
-                // spinning, labelling the cycle by its entry node.
-                Some(p) if path.len() < n => {
-                    path.push(x as u32);
-                    x = p;
-                }
-                _ => break,
-            }
-        }
-        let r = if root[x] != UNKNOWN {
-            root[x]
-        } else {
-            x as u32
-        };
-        root[x] = r;
-        for &y in &path {
-            root[y as usize] = r;
-        }
-    }
-    root
-}
-
-/// A region of the divide step: its forest, whose `member` mask is the
-/// region, plus, per `Q'` portal it meets, which side of that portal the
-/// region lies on.
+/// A region of the divide step, a sub-problem of its own: its amoebots,
+/// its forest in local ids (local id `i` is the amoebot `nodes[i]`) and,
+/// per `Q'` portal it meets, which side of that portal it lies on. A
+/// region without sources has no forest until the merges bring one.
 #[derive(Debug, Clone)]
 struct Region {
-    forest: Forest,
+    /// The region's amoebots, ascending.
+    nodes: Vec<usize>,
+    /// The forest over all of the region, in local ids.
+    forest: Option<Forest>,
     /// `(portal id, side)` of each boundary `Q'` portal.
     boundaries: Vec<(u32, usize)>,
 }
 
+impl Region {
+    /// The local id of amoebot `v`, if it lies in the region.
+    fn local(&self, v: usize) -> Option<usize> {
+        self.nodes.binary_search(&v).ok()
+    }
+}
+
 /// Computes the `S`-shortest path forest covering the whole structure
-/// (Theorem 56) — destinations are handled by the caller.
-fn sources_forest(
-    world: &mut World,
-    structure: &AmoebotStructure,
-    src: &[usize],
-    src_mask: &[bool],
-) -> Forest {
-    let ap = axis_portals(structure, &vec![true; structure.len()], Axis::X);
+/// (Theorem 56) — destinations are handled by the caller. The steps that
+/// need the whole structure (Q', the R' election) each run in a sub-run
+/// of their own that ends before the next phase starts.
+fn sources_forest(world: &mut World, structure: &AmoebotStructure, src: &[usize]) -> Forest {
+    let n = structure.len();
+    let ap = axis_portals(structure, &vec![true; n], Axis::X);
+    let mut src_mask = vec![false; n];
+    for &s in src {
+        src_mask[s] = true;
+    }
 
     // Degenerate case: the whole structure is a single x-portal (a line).
     // Q is still marked (one beep round, Lemma 51).
     if ap.portals.len() == 1 {
         return world.phase("line structure (Lemma 40)", |w| {
-            mark_portals(w, &ap, src_mask);
-            let chain = &ap.portals[0];
-            let is_source: Vec<bool> = chain.iter().map(|&v| src_mask[v]).collect();
-            line_forest(w, chain, &is_source)
+            sub_run(w, structure, |w| {
+                mark_portals(w, &ap, &src_mask);
+                let chain = &ap.portals[0];
+                let is_source: Vec<bool> = chain.iter().map(|&v| src_mask[v]).collect();
+                line_forest(w, chain, &is_source)
+            })
         });
     }
 
@@ -185,18 +160,20 @@ fn sources_forest(
     // leader is a precondition, §2.1; we use the first source).
     let leader_portal = ap.portal_of[src[0]];
     let (prp, q_prime) = world.phase("compute Q' = Q ∪ A_Q (Lemma 51)", |w| {
-        let q_portals = mark_portals(w, &ap, src_mask);
-        let prp = portal_root_and_prune(w, structure, &ap, leader_portal, &q_portals);
-        let q_prime: Vec<bool> = (0..ap.portals.len())
-            .map(|p| q_portals[p] || (prp.portal_in_vq[p] && prp.portal_deg_q[p] >= 3))
-            .collect();
-        (prp, q_prime)
+        sub_run(w, structure, |w| {
+            let q_portals = mark_portals(w, &ap, &src_mask);
+            let prp = portal_root_and_prune(w, structure, &ap, leader_portal, &q_portals);
+            let q_prime: Vec<bool> = (0..ap.portals.len())
+                .map(|p| q_portals[p] || (prp.portal_in_vq[p] && prp.portal_deg_q[p] >= 3))
+                .collect();
+            (prp, q_prime)
+        })
     });
 
     // §5.4.1: split into regions (Lemma 52). The unmarking beep is a round.
     let (regions, splits) = world.phase("divide into regions (Lemma 52)", |w| {
         w.charge_rounds(1, "unmark westernmost connectors (Lemma 52)");
-        build_regions(structure, &ap, leader_portal, &prp.portal_in_vq, &q_prime)
+        build_regions(structure, &ap, &prp.portal_in_vq, &q_prime)
     });
     for r in &regions {
         let b: std::collections::BTreeSet<u32> = r.boundaries.iter().map(|&(p, _)| p).collect();
@@ -208,11 +185,14 @@ fn sources_forest(
 
     // §5.4.2 preprocessing: elect R' ∈ Q' and root the portal tree at it.
     let (r_prime, pdepth) = world.phase("elect and root at R' (Lemmas 35, 53)", |w| {
-        let q_hat = ap.rep_flags(&q_prime);
-        let tree = ap.tree_rooted_at(leader_portal);
-        let elected = crate::primitives::election::elect(w, std::slice::from_ref(&tree), &q_hat);
-        let r_prime = ap.portal_of[elected[0].expect("Q' is non-empty")];
-        w.charge_rounds(1, "announce R' on portal circuit (Lemma 35)");
+        let r_prime = sub_run(w, structure, |w| {
+            let q_hat = ap.rep_flags(&q_prime);
+            let tree = ap.tree_rooted_at(leader_portal);
+            let elected =
+                crate::primitives::election::elect(w, std::slice::from_ref(&tree), &q_hat);
+            w.charge_rounds(1, "announce R' on portal circuit (Lemma 35)");
+            ap.portal_of[elected[0].expect("Q' is non-empty")]
+        });
         // Portal tree rooted at R' (depths for LCA identification, Lemma 53).
         let pdepth = portal_depths(&ap, r_prime);
         w.charge_rounds(1, "identify P_DSC via region circuit (Lemma 53)");
@@ -224,7 +204,7 @@ fn sources_forest(
         w.parallel(
             "base-case regions run in parallel (Lemma 54)",
             regions,
-            |w, region| base_case_forest(w, structure, &ap, region, src_mask, &pdepth),
+            |w, region| base_case_forest(w, structure, &ap, region, src, &pdepth),
         )
     });
 
@@ -266,11 +246,16 @@ fn sources_forest(
         });
     }
 
-    let mut remaining: Vec<Region> = live.into_iter().flatten().collect();
-    assert_eq!(remaining.len(), 1, "all regions must merge into one");
-    let forest = remaining.pop().unwrap().forest;
-    debug_assert!(forest.member.iter().all(|&m| m), "forest covers all");
-    forest
+    // The last region is the whole structure, so its local ids are global.
+    let last: Vec<Region> = live.into_iter().flatten().collect();
+    match <[Region; 1]>::try_from(last) {
+        Ok(
+            [Region {
+                forest: Some(f), ..
+            }],
+        ) => f,
+        _ => panic!("all regions must merge into one forest"),
+    }
 }
 
 /// BFS depths of the portal tree rooted at `root`.
@@ -298,35 +283,14 @@ type Splits = std::collections::BTreeMap<u32, [Vec<usize>; 2]>;
 fn build_regions(
     structure: &AmoebotStructure,
     ap: &AxisPortals,
-    root_portal: u32,
     portal_in_vq: &[bool],
     q_prime: &[bool],
 ) -> (Vec<Region>, Splits) {
     let n = structure.len();
     let adj = ap.portal_tree_edges();
-    // Rooted portal tree, mirroring the distributed rooting (the agreement
-    // is verified by the portal-layer tests).
-    let mut parent = vec![u32::MAX; ap.portals.len()];
-    {
-        let mut seen = vec![false; ap.portals.len()];
-        let mut queue = std::collections::VecDeque::new();
-        seen[root_portal as usize] = true;
-        queue.push_back(root_portal);
-        while let Some(p) = queue.pop_front() {
-            for &(q, _) in &adj[p as usize] {
-                if !seen[q as usize] {
-                    seen[q as usize] = true;
-                    parent[q as usize] = p;
-                    queue.push_back(q);
-                }
-            }
-        }
-    }
-    let is_tq_edge = |a: u32, b: u32| -> bool {
-        portal_in_vq[a as usize]
-            && portal_in_vq[b as usize]
-            && (parent[a as usize] == b || parent[b as usize] == a)
-    };
+    // The portal graph is a tree (Lemma 9), so two adjacent portals of the
+    // pruned tree `V_Q` span one of its edges.
+    let is_tq_edge = |a: u32, b: u32| portal_in_vq[a as usize] && portal_in_vq[b as usize];
     let side_of = |p: u32, q: u32| -> usize {
         // Side 0: the neighbor portal has a smaller line key (north for x).
         let kp = Axis::X.line_key(structure.coord(NodeId(ap.portals[p as usize][0] as u32)));
@@ -433,17 +397,17 @@ fn build_regions(
         let r = find(&mut dsu, x);
         groups.entry(r).or_default().push(x);
     }
+    // Regions overlap only on Q' portals: a Q' portal joins both of its
+    // sides, and a marked connector both of its intervals. `owner` holds
+    // the first region of every amoebot, so the check costs O(Σ|region|).
     let mut regions = Vec::new();
-    for (_, nodes) in groups {
-        let mut mask = vec![false; n];
+    let mut owner = vec![usize::MAX; n];
+    for (_, qnodes) in groups {
+        let mut nodes = Vec::new();
         let mut boundaries = Vec::new();
-        for node in nodes {
-            match node {
-                QNode::Portal(p) => {
-                    for &v in &ap.portals[p as usize] {
-                        mask[v] = true;
-                    }
-                }
+        for qnode in qnodes {
+            match qnode {
+                QNode::Portal(p) => nodes.extend_from_slice(&ap.portals[p as usize]),
                 QNode::Sub(p, side, j) => {
                     let members = &ap.portals[p as usize];
                     let s = &splits[&p][side];
@@ -453,31 +417,40 @@ fn build_regions(
                     } else {
                         s[j]
                     };
-                    for &v in &members[lo..=hi] {
-                        mask[v] = true;
-                    }
+                    nodes.extend_from_slice(&members[lo..=hi]);
                     boundaries.push((p, side));
                 }
             }
         }
+        nodes.sort_unstable();
+        nodes.dedup();
+        for &v in &nodes {
+            let first = std::mem::replace(&mut owner[v], regions.len());
+            assert!(
+                first == usize::MAX || q_prime[ap.portal_of[v] as usize],
+                "Lemma 52: only Q' portal amoebots lie in two regions"
+            );
+        }
         boundaries.sort_unstable();
         boundaries.dedup();
         regions.push(Region {
-            forest: Forest::sourceless(mask),
+            forest: None,
+            nodes,
             boundaries,
         });
     }
     (regions, splits)
 }
 
-/// §5.4.2: the base-case forest of one region. A corridor region without
-/// sources keeps its sourceless forest; its forest arrives via the merges.
+/// §5.4.2: the base-case forest of one region, run on the region's own
+/// sub-structure. A corridor region without sources stays without a
+/// forest; its forest arrives via the merges.
 fn base_case_forest(
     world: &mut World,
     structure: &AmoebotStructure,
     ap: &AxisPortals,
     mut region: Region,
-    src_mask: &[bool],
+    src: &[usize],
     pdepth: &[u32],
 ) -> Region {
     // The region's Q' portals; the LCA is the one closest to R' (Lemma 53).
@@ -485,28 +458,36 @@ fn base_case_forest(
     portals.sort_unstable();
     portals.dedup();
     portals.sort_by_key(|&p| pdepth[p as usize]);
-    let mask = &region.forest.member;
-    let mut forest: Option<Forest> = None;
-    for &p in &portals {
-        let chain: Vec<usize> = ap.portals[p as usize]
-            .iter()
-            .copied()
-            .filter(|&v| mask[v])
-            .collect();
-        let is_source: Vec<bool> = chain.iter().map(|&v| src_mask[v]).collect();
-        if !is_source.iter().any(|&b| b) {
-            continue; // no sources on this portal within the region
-        }
-        let line = line_forest(world, &chain, &is_source);
-        let propagated = propagate_forest(world, structure, mask, &chain, Axis::X, &line);
-        forest = Some(match forest {
-            None => propagated,
-            Some(prev) => merge_forests(world, &prev, &propagated),
-        });
-    }
-    if let Some(forest) = forest {
-        region.forest = forest;
-    }
+    // The region's part of each portal holding sources, in local ids.
+    let chains: Vec<(Vec<usize>, Vec<bool>)> = portals
+        .iter()
+        .filter_map(|&p| {
+            let chain: Vec<usize> = ap.portals[p as usize]
+                .iter()
+                .filter_map(|&v| region.local(v))
+                .collect();
+            let is_source: Vec<bool> = chain
+                .iter()
+                .map(|&l| src.binary_search(&region.nodes[l]).is_ok())
+                .collect();
+            is_source.contains(&true).then_some((chain, is_source))
+        })
+        .collect();
+    let Some((first, rest)) = chains.split_first() else {
+        return region;
+    };
+    let sub = induced(structure, &region.nodes);
+    region.forest = Some(sub_run(world, &sub, |w| {
+        let line_and_propagate = |w: &mut World, (chain, is_source): &(Vec<usize>, Vec<bool>)| {
+            let line = line_forest(w, chain, is_source);
+            propagate_forest(w, &sub, chain, Axis::X, &line)
+        };
+        let forest = line_and_propagate(w, first);
+        rest.iter().fold(forest, |prev, chain| {
+            let next = line_and_propagate(w, chain);
+            merge_forests(w, &prev, &next)
+        })
+    }));
     region
 }
 
@@ -523,7 +504,7 @@ fn merge_around_portal(
     let west_pos = |r: &Region| -> usize {
         portal_members
             .iter()
-            .position(|&v| r.forest.member[v])
+            .position(|&v| r.local(v).is_some())
             .unwrap_or(0)
     };
 
@@ -591,15 +572,7 @@ fn merge_around_portal(
         (Some(a), Some(b)) => {
             let north = live[a].take().unwrap();
             let south = live[b].take().unwrap();
-            let chain: Vec<usize> = portal_members
-                .iter()
-                .copied()
-                .filter(|&v| north.forest.member[v] || south.forest.member[v])
-                .collect();
-            // Two propagations across the portal and a merge.
-            live[a] = Some(join(world, north, south, |w, f, other| {
-                propagate_forest(w, structure, &other.member, &chain, Axis::X, f)
-            }));
+            live[a] = Some(join_across(world, structure, portal_members, north, south));
             a
         }
         (None, None) => unreachable!("a scheduled portal bounds at least one region"),
@@ -610,10 +583,46 @@ fn merge_around_portal(
     }
 }
 
+/// The region over the amoebots of `a` and `b`, without a forest so far,
+/// and the local ids of each one's amoebots in it.
+fn union(a: &Region, b: &Region) -> (Region, [Vec<usize>; 2]) {
+    let mut nodes: Vec<usize> = a.nodes.iter().chain(&b.nodes).copied().collect();
+    nodes.sort(); // two ascending runs: a linear merge
+    nodes.dedup();
+    let maps = [a, b].map(|r| {
+        r.nodes
+            .iter()
+            .map(|&v| nodes.partition_point(|&x| x < v))
+            .collect()
+    });
+    let mut boundaries = [&a.boundaries[..], &b.boundaries].concat();
+    boundaries.sort_unstable();
+    boundaries.dedup();
+    let joined = Region {
+        nodes,
+        forest: None,
+        boundaries,
+    };
+    (joined, maps)
+}
+
+/// `f` in the local ids of a union of `len` amoebots, into which `map`
+/// sends `f`'s ids.
+fn lift(f: &Forest, map: &[usize], len: usize) -> Forest {
+    let mut parents = vec![None; len];
+    for (&u, p) in map.iter().zip(&f.parents) {
+        parents[u] = p.map(|p| map[p]);
+    }
+    let sources = f.sources.iter().map(|&s| map[s]).collect();
+    Forest { parents, sources }
+}
+
 /// §5.4.3 step 3: merges two regions separated by the marked amoebot `m`
 /// (part of both regions): every path between them traverses `m`, so each
-/// forest is extended into the other region by a region-scoped SPT from `m`
-/// glued below `m`'s existing tree position, and the two extensions merge.
+/// forest with sources is extended into the other region by a region SPT
+/// from `m` glued below `m`'s existing tree position. Two extensions merge
+/// (Lemma 42) in a sub-run on both regions; the SPTs run before it, each
+/// in a sub-run on its own region.
 fn merge_pair(
     world: &mut World,
     structure: &AmoebotStructure,
@@ -622,57 +631,66 @@ fn merge_pair(
     east: Region,
 ) -> Region {
     debug_assert!(
-        west.forest.member[m] && east.forest.member[m],
+        west.local(m).is_some() && east.local(m).is_some(),
         "mark belongs to both regions"
     );
-    join(world, west, east, |w, f, other| {
-        let region: Vec<usize> = (0..other.member.len())
-            .filter(|&v| other.member[v])
-            .collect();
-        let sub = region_sssp(w, structure, &region, m);
-        let mut out = f.clone();
-        for (&v, p) in region.iter().zip(sub) {
-            if !f.member[v] {
+    let (mut joined, maps) = union(&west, &east);
+    let pair = [&west, &east];
+    let mut extended: Vec<Forest> = Vec::new();
+    for (i, side) in pair.into_iter().enumerate() {
+        let Some(forest) = &side.forest else {
+            continue;
+        };
+        let (other, other_map) = (pair[1 - i], &maps[1 - i]);
+        let mut f = lift(forest, &maps[i], joined.nodes.len());
+        let spt = region_sssp(world, structure, &other.nodes, m);
+        for ((&v, &u), p) in other.nodes.iter().zip(other_map).zip(spt) {
+            if side.local(v).is_none() {
                 debug_assert!(p.is_some(), "SPT must cover the paired region");
-                out.member[v] = true;
-                out.parents[v] = p;
+                f.parents[u] = p.map(|l| other_map[l]);
             }
         }
-        out
-    })
+        extended.push(f);
+    }
+    joined.forest = match extended.as_slice() {
+        [x, y] => {
+            let sub = induced(structure, &joined.nodes);
+            Some(sub_run(world, &sub, |w| merge_forests(w, x, y)))
+        }
+        _ => extended.pop(),
+    };
+    joined
 }
 
-/// Joins regions `a` and `b` (§5.4.3): each forest with sources is
-/// extended over the other region by `extend(world, forest, other)`, and
-/// two extensions merge (Lemma 42). A sourceless forest only widens.
-fn join(
+/// §5.4.3 phase 2: joins the regions north and south of the portal
+/// `portal`, each of which holds all of it, in a sub-run on both regions:
+/// each forest with sources propagates across the portal (Lemma 50), and
+/// two propagations merge (Lemma 42). Two sourceless regions only widen.
+fn join_across(
     world: &mut World,
-    a: Region,
-    b: Region,
-    mut extend: impl FnMut(&mut World, &Forest, &Forest) -> Forest,
+    structure: &AmoebotStructure,
+    portal: &[usize],
+    north: Region,
+    south: Region,
 ) -> Region {
-    let (fa, fb) = (&a.forest, &b.forest);
-    let forest = match (fa.sources.is_empty(), fb.sources.is_empty()) {
-        (false, false) => {
-            let x = extend(world, fa, fb);
-            let y = extend(world, fb, fa);
-            merge_forests(world, &x, &y)
-        }
-        (false, true) => extend(world, fa, fb),
-        (true, false) => extend(world, fb, fa),
-        (true, true) => {
-            let mut f = fa.clone();
-            for (m, &o) in f.member.iter_mut().zip(&fb.member) {
-                *m |= o;
-            }
-            f
-        }
-    };
-    let mut boundaries = a.boundaries;
-    boundaries.extend(b.boundaries);
-    boundaries.sort_unstable();
-    boundaries.dedup();
-    Region { forest, boundaries }
+    let (mut joined, maps) = union(&north, &south);
+    let sourced: Vec<Forest> = [&north, &south]
+        .into_iter()
+        .zip(&maps)
+        .filter_map(|(r, map)| Some(lift(r.forest.as_ref()?, map, joined.nodes.len())))
+        .collect();
+    if let Some((first, rest)) = sourced.split_first() {
+        let sub = induced(structure, &joined.nodes);
+        let chain: Vec<usize> = portal.iter().filter_map(|&v| joined.local(v)).collect();
+        joined.forest = Some(sub_run(world, &sub, |w| {
+            let x = propagate_forest(w, &sub, &chain, Axis::X, first);
+            rest.iter().fold(x, |x, f| {
+                let y = propagate_forest(w, &sub, &chain, Axis::X, f);
+                merge_forests(w, &x, &y)
+            })
+        }));
+    }
+    joined
 }
 
 #[cfg(test)]

@@ -92,11 +92,7 @@ pub fn line_forest(world: &mut World, chain: &[usize], is_source: &[bool]) -> Fo
         });
     }
     let sources: Vec<usize> = src_pos.iter().map(|&i| chain[i]).collect();
-    let mut forest = Forest::from_parents(parents, sources);
-    for &v in chain {
-        forest.member[v] = true;
-    }
-    forest
+    Forest { parents, sources }
 }
 
 #[cfg(test)]

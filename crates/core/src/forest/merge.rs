@@ -1,6 +1,6 @@
 //! The merging algorithm (§5.2, Lemma 42): combine an S1-forest and an
-//! S2-forest over the same region into an (S1 ∪ S2)-forest in `O(log n)`
-//! rounds.
+//! S2-forest over the same region (the world they run in) into an
+//! (S1 ∪ S2)-forest in `O(log n)` rounds.
 //!
 //! Both forests run the tree PASC (Corollary 5) in parallel on separate
 //! links; every amoebot streams `dist(S1, u)` against `dist(S2, u)` and
@@ -12,59 +12,48 @@ use amoebot_pasc::{tree_specs, PascRun, StreamingCompare};
 use crate::forest::Forest;
 use crate::links::{BWD_PRIMARY, BWD_SECONDARY, FWD_PRIMARY, FWD_SECONDARY, SYNC};
 
-/// Merges two shortest path forests covering the same member set
-/// (Lemma 42). Every member must be covered by *both* forests (each
-/// non-source member has a parent in each).
+/// Merges two shortest path forests that both cover the whole world
+/// (Lemma 42): every amoebot is a source or has a parent in each.
 pub fn merge_forests(world: &mut World, f1: &Forest, f2: &Forest) -> Forest {
     let n = world.topology().len();
-    debug_assert_eq!(f1.member, f2.member, "forests must cover the same region");
-    for v in 0..n {
-        if f1.member[v] {
-            world.reset_pins_keeping_links(v, &[SYNC]);
-        }
-    }
+    let all = vec![true; n];
+    debug_assert!(
+        f1.members() == all && f2.members() == all,
+        "forests cover the world"
+    );
+    world.reset_all_pins_keeping_links(&[SYNC]);
     let topo = world.topology();
-    let (mut specs, idx1) = tree_specs(topo, &f1.parents, &f1.member, FWD_PRIMARY, FWD_SECONDARY);
-    let (specs2, idx2_raw) = tree_specs(topo, &f2.parents, &f2.member, BWD_PRIMARY, BWD_SECONDARY);
+    let (mut specs, idx1) = tree_specs(topo, &f1.parents, &all, FWD_PRIMARY, FWD_SECONDARY);
+    let (specs2, idx2) = tree_specs(topo, &f2.parents, &all, BWD_PRIMARY, BWD_SECONDARY);
     let offset = specs.len();
     specs.extend(specs2);
-    let idx2: Vec<usize> = idx2_raw
-        .into_iter()
-        .map(|i| if i == usize::MAX { i } else { i + offset })
-        .collect();
 
     let mut run = PascRun::new(world, specs, SYNC);
     let mut cmps: Vec<StreamingCompare> = vec![StreamingCompare::new(); n];
     while run.data_step(world, |_| {}).is_some() {
         let bits = run.bits();
         for v in 0..n {
-            if f1.member[v] {
-                cmps[v].feed(bits[idx1[v]], bits[idx2[v]]);
-            }
+            cmps[v].feed(bits[idx1[v]], bits[idx2[v] + offset]);
         }
         run.sync_step(world);
     }
 
-    let mut parents: Vec<Option<usize>> = vec![None; n];
-    for v in 0..n {
-        if !f1.member[v] {
-            continue;
-        }
-        // dist(S1, v) <= dist(S2, v): keep the S1 parent (Lemma 41); note a
-        // source of either side has distance 0 and therefore stays a root.
-        parents[v] = if cmps[v].result() != std::cmp::Ordering::Greater {
-            f1.parents[v]
-        } else {
-            f2.parents[v]
-        };
-    }
+    // dist(S1, v) <= dist(S2, v): keep the S1 parent (Lemma 41); note a
+    // source of either side has distance 0 and therefore stays a root.
+    let parents = (0..n)
+        .map(|v| {
+            if cmps[v].result() != std::cmp::Ordering::Greater {
+                f1.parents[v]
+            } else {
+                f2.parents[v]
+            }
+        })
+        .collect();
     let mut sources: Vec<usize> = f1.sources.clone();
     sources.extend(f2.sources.iter().copied());
     sources.sort_unstable();
     sources.dedup();
-    let mut out = Forest::from_parents(parents, sources);
-    out.member = f1.member.clone();
-    out
+    Forest { parents, sources }
 }
 
 #[cfg(test)]
@@ -80,9 +69,10 @@ mod tests {
             .into_iter()
             .map(|p| p.map(|x| x.index()))
             .collect();
-        let mut f = Forest::from_parents(parents, vec![src]);
-        f.member = vec![true; s.len()];
-        f
+        Forest {
+            parents,
+            sources: vec![src],
+        }
     }
 
     fn check_merge(s: &AmoebotStructure, s1: usize, s2: usize) -> u64 {

@@ -58,10 +58,9 @@ impl ForestOutcome {
 
 /// An S-shortest-path forest over a region: every member either is a source
 /// (root) or knows its parent; `dist(S, v)` equals the member's tree depth.
+/// The members are therefore the sources and every amoebot with a parent.
 #[derive(Debug, Clone)]
 pub struct Forest {
-    /// Region membership.
-    pub member: Vec<bool>,
     /// Parent pointers (`None` for sources and non-members).
     pub parents: Vec<Option<usize>>,
     /// The sources (roots).
@@ -69,32 +68,12 @@ pub struct Forest {
 }
 
 impl Forest {
-    /// A forest without sources over the region `member`: a region
-    /// whose forest has yet to arrive through merges.
-    pub fn sourceless(member: Vec<bool>) -> Forest {
-        Forest {
-            parents: vec![None; member.len()],
-            member,
-            sources: Vec::new(),
-        }
-    }
-
-    /// Builds a forest from parents + sources; members are sources and
-    /// every node with a parent.
-    pub fn from_parents(parents: Vec<Option<usize>>, sources: Vec<usize>) -> Forest {
-        let mut member = vec![false; parents.len()];
-        for (v, p) in parents.iter().enumerate() {
-            if p.is_some() {
-                member[v] = true;
-            }
-        }
-        for &s in &sources {
+    /// The membership flags: the sources and every amoebot with a parent.
+    pub fn members(&self) -> Vec<bool> {
+        let mut member: Vec<bool> = self.parents.iter().map(Option::is_some).collect();
+        for &s in &self.sources {
             member[s] = true;
         }
-        Forest {
-            member,
-            parents,
-            sources,
-        }
+        member
     }
 }

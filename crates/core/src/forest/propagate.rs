@@ -25,9 +25,9 @@ use crate::portals::{axis_portals, mark_portals, portal_circuits};
 use crate::spt::region_sssp;
 
 /// Propagates `forest` (covering `A ∪ P`) across the portal given by
-/// `portal_nodes` (an axis-`axis` portal) into the amoebots of `region` it
-/// does not cover yet (the side `B`). Returns an S-forest covering the
-/// forest's members and all of `region`.
+/// `portal_nodes` (an axis-`axis` portal) into the amoebots it does not
+/// cover yet (the side `B`). `world` runs on `structure`, the region
+/// `A ∪ P ∪ B`. Returns an S-forest covering all of it.
 ///
 /// # Panics
 ///
@@ -35,18 +35,18 @@ use crate::spt::region_sssp;
 pub fn propagate_forest(
     world: &mut World,
     structure: &AmoebotStructure,
-    region: &[bool],
     portal_nodes: &[usize],
     axis: Axis,
     forest: &Forest,
 ) -> Forest {
     let n = structure.len();
-    debug_assert!(portal_nodes.iter().all(|&p| forest.member[p]));
+    let member = forest.members();
+    debug_assert!(portal_nodes.iter().all(|&p| member[p]));
     let mut in_portal = vec![false; n];
     for &p in portal_nodes {
         in_portal[p] = true;
     }
-    let b_mask: Vec<bool> = (0..n).map(|v| region[v] && !forest.member[v]).collect();
+    let b_mask: Vec<bool> = member.iter().map(|&m| !m).collect();
     if !b_mask.iter().any(|&b| b) {
         return forest.clone(); // nothing to propagate into
     }
@@ -92,11 +92,7 @@ pub fn propagate_forest(
     // (Figure 12), 3 rounds per iteration.
     // Relay circuits: cross axis 0 on the BROADCAST link, cross axis 1 on
     // the BWD_PRIMARY link (the forest PASC only uses FWD links).
-    for v in 0..n {
-        if forest.member[v] || b_mask[v] {
-            world.reset_pins_keeping_links(v, &[SYNC]);
-        }
-    }
+    world.reset_all_pins_keeping_links(&[SYNC]);
     let portal_pset: Vec<Vec<u16>> = cross_portals
         .iter()
         .zip([BROADCAST, BWD_PRIMARY])
@@ -105,7 +101,7 @@ pub fn propagate_forest(
     let (specs, idx) = tree_specs(
         world.topology(),
         &forest.parents,
-        &forest.member,
+        &member,
         FWD_PRIMARY,
         FWD_SECONDARY,
     );
@@ -160,7 +156,7 @@ pub fn propagate_forest(
                 .neighbor(NodeId(v as u32), dir)
                 .expect("projection neighbor exists")
                 .index();
-            debug_assert!(mask_pb[w] || forest.member[w]);
+            debug_assert!(mask_pb[w] || member[w]);
             parents[v] = Some(w);
         }
     }
@@ -230,18 +226,17 @@ pub fn propagate_forest(
                 for (&m, p) in members.iter().zip(sub_parents) {
                     if m != s_z {
                         debug_assert!(p.is_some(), "SPT must cover the component");
-                        parents[m] = p;
+                        parents[m] = p.map(|l| members[l]);
                     }
                 }
             }
         },
     );
 
-    let mut out = Forest::from_parents(parents, forest.sources.clone());
-    for v in 0..n {
-        out.member[v] = forest.member[v] || b_mask[v];
+    Forest {
+        parents,
+        sources: forest.sources.clone(),
     }
-    out
 }
 
 #[cfg(test)]
@@ -256,41 +251,28 @@ mod tests {
     /// Builds a forest on one x-portal row via the line algorithm, then
     /// propagates it into the rest of the structure and validates.
     fn check_propagation(s: &AmoebotStructure, portal_row: i32, source_cols: &[i32]) -> u64 {
-        let mut world = World::new(Topology::from_structure(s), LINKS);
-        // The portal: all nodes with r = portal_row.
-        let mut portal: Vec<usize> = s
+        // The region: the portal row r = portal_row and the side south of it.
+        let sub =
+            AmoebotStructure::new(s.nodes().map(|v| s.coord(v)).filter(|c| c.r >= portal_row))
+                .unwrap();
+        let mut world = World::new(Topology::from_structure(&sub), LINKS);
+        let mut portal: Vec<usize> = sub
             .nodes()
-            .filter(|&v| s.coord(v).r == portal_row)
+            .filter(|&v| sub.coord(v).r == portal_row)
             .map(|v| v.index())
             .collect();
-        portal.sort_by_key(|&v| s.coord(NodeId(v as u32)).q);
+        portal.sort_by_key(|&v| sub.coord(NodeId(v as u32)).q);
         let is_source: Vec<bool> = portal
             .iter()
-            .map(|&v| source_cols.contains(&s.coord(NodeId(v as u32)).q))
+            .map(|&v| source_cols.contains(&sub.coord(NodeId(v as u32)).q))
             .collect();
         let line = line_forest(&mut world, &portal, &is_source);
-        // Region: portal side with r >= portal_row (P ∪ south side).
-        let region: Vec<bool> = s.nodes().map(|v| s.coord(v).r >= portal_row).collect();
         let before = world.rounds();
-        let forest = propagate_forest(&mut world, s, &region, &portal, Axis::X, &line);
+        let forest = propagate_forest(&mut world, &sub, &portal, Axis::X, &line);
         let rounds = world.rounds() - before;
-        // Validate on the substructure induced by the region.
-        let coords: Vec<Coord> = s
-            .nodes()
-            .filter(|&v| region[v.index()])
-            .map(|v| s.coord(v))
-            .collect();
-        let sub = AmoebotStructure::new(coords).unwrap();
-        let map = |v: usize| sub.node_at(s.coord(NodeId(v as u32))).unwrap();
-        let sources: Vec<NodeId> = forest.sources.iter().map(|&v| map(v)).collect();
-        let mut parents: Vec<Option<NodeId>> = vec![None; sub.len()];
-        for v in 0..s.len() {
-            if region[v] {
-                if let Some(p) = forest.parents[v] {
-                    parents[map(v).index()] = Some(map(p));
-                }
-            }
-        }
+        let id = |v: usize| NodeId(v as u32);
+        let sources: Vec<NodeId> = forest.sources.iter().map(|&v| id(v)).collect();
+        let parents: Vec<Option<NodeId>> = forest.parents.iter().map(|p| p.map(id)).collect();
         let all: Vec<NodeId> = sub.nodes().collect();
         let violations = validate_forest(&sub, &sources, &all, &parents);
         assert!(violations.is_empty(), "{violations:?}");
@@ -356,8 +338,7 @@ mod tests {
         let mut is_source = vec![false; 6];
         is_source[2] = true;
         let line = line_forest(&mut world, &chain, &is_source);
-        let region = vec![true; 6];
-        let out = propagate_forest(&mut world, &s, &region, &chain, Axis::X, &line);
+        let out = propagate_forest(&mut world, &s, &chain, Axis::X, &line);
         assert_eq!(out.parents, line.parents);
     }
 }

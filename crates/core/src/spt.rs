@@ -59,11 +59,39 @@ pub fn sssp(structure: &AmoebotStructure, source: NodeId) -> ForestOutcome {
     shortest_path_tree(structure, source, &all)
 }
 
+/// Runs `body` as a sub-run on `structure` (the whole structure or an
+/// [`induced`] region) in a fresh child world that `world` absorbs
+/// ([`World::absorb`]): the sub-run's rounds, beeps and charges count in
+/// `world`, and the child world is dropped when `body` returns.
+pub(crate) fn sub_run<T>(
+    world: &mut World,
+    structure: &AmoebotStructure,
+    body: impl FnOnce(&mut World) -> T,
+) -> T {
+    let mut child = World::new(Topology::from_structure(structure), LINKS);
+    let out = body(&mut child);
+    world.absorb(child);
+    out
+}
+
+/// The sub-structure of `structure` induced by the region `members`, whose
+/// ids ascend: local id `i` is `members[i]`, so local ids keep every
+/// id-ordered tie-break of the algorithms.
+///
+/// # Panics
+///
+/// Panics if the region is not connected.
+pub(crate) fn induced(structure: &AmoebotStructure, members: &[usize]) -> AmoebotStructure {
+    debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascend");
+    AmoebotStructure::new(members.iter().map(|&v| structure.coord(NodeId(v as u32))))
+        .expect("a region is a connected sub-structure")
+}
+
 /// The region SPT of §5.3 phase 2 and the §5.4.3 pair merges: the shortest
-/// path tree from `source` to every member of the region `members`. It
-/// runs on the induced sub-structure in a child world that `world` absorbs
-/// ([`World::absorb`]); `members` ascend, so local ids keep every
-/// id-ordered tie-break. Returns the members' parents, aligned with them.
+/// path tree from `source` to every member of the region `members`
+/// (ascending), run on the [`induced`] sub-structure as a [`sub_run`].
+/// Returns the members' parents in local ids (indices into `members`),
+/// aligned with them.
 ///
 /// # Panics
 ///
@@ -74,19 +102,16 @@ pub(crate) fn region_sssp(
     members: &[usize],
     source: usize,
 ) -> Vec<Option<usize>> {
-    debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members ascend");
     let local_source = members.partition_point(|&v| v < source);
     assert_eq!(
         members.get(local_source),
         Some(&source),
         "source must lie in the region"
     );
-    let sub = AmoebotStructure::new(members.iter().map(|&v| structure.coord(NodeId(v as u32))))
-        .expect("a region is a connected sub-structure");
-    let mut child = World::new(Topology::from_structure(&sub), LINKS);
-    let parents = spt_in_world(&mut child, &sub, local_source, &vec![true; members.len()]);
-    world.absorb(child);
-    parents.into_iter().map(|p| p.map(|l| members[l])).collect()
+    let sub = induced(structure, members);
+    sub_run(world, &sub, |w| {
+        spt_in_world(w, &sub, local_source, &vec![true; members.len()])
+    })
 }
 
 /// The SPT of Theorem 39 over the whole `structure` in `world`, with the
@@ -288,14 +313,16 @@ mod tests {
         world.charge_rounds(2, "earlier glue");
         let (rounds, beeps) = (world.rounds(), world.beeps_sent());
         let parents = region_sssp(&mut world, s, members, source);
-        let local = |v: usize| NodeId(members.binary_search(&v).expect("in the region") as u32);
-        let sub =
-            AmoebotStructure::new(members.iter().map(|&v| s.coord(NodeId(v as u32)))).unwrap();
-        let local_parents: Vec<Option<NodeId>> = parents.iter().map(|p| p.map(local)).collect();
+        let local_source = NodeId(members.binary_search(&source).unwrap() as u32);
+        let sub = induced(s, members);
+        let local_parents: Vec<Option<NodeId>> = parents
+            .iter()
+            .map(|p| p.map(|l| NodeId(l as u32)))
+            .collect();
         let all: Vec<NodeId> = sub.nodes().collect();
-        let violations = validate_forest(&sub, &[local(source)], &all, &local_parents);
+        let violations = validate_forest(&sub, &[local_source], &all, &local_parents);
         assert!(violations.is_empty(), "{violations:?}");
-        let alone = sssp(&sub, local(source));
+        let alone = sssp(&sub, local_source);
         assert_eq!(world.rounds() - rounds, alone.rounds);
         assert_eq!(world.beeps_sent() - beeps, alone.beeps);
     }
