@@ -34,7 +34,8 @@ use crate::forest::propagate::propagate_forest;
 use crate::forest::{Forest, ForestOutcome};
 use crate::links::LINKS;
 use crate::portals::{
-    axis_portals, mark_portals, portal_centroid_decomposition, portal_root_and_prune, AxisPortals,
+    axis_portals, mark_portals, portal_centroid_decomposition, portal_elect, portal_root_and_prune,
+    AxisPortals,
 };
 use crate::primitives::root_prune::root_and_prune;
 use crate::spt::{induced, region_sssp, sub_run};
@@ -185,14 +186,10 @@ fn sources_forest(world: &mut World, structure: &AmoebotStructure, src: &[usize]
 
     // §5.4.2 preprocessing: elect R' ∈ Q' and root the portal tree at it.
     let (r_prime, pdepth) = world.phase("elect and root at R' (Lemmas 35, 53)", |w| {
-        let r_prime = sub_run(w, structure, |w| {
-            let q_hat = ap.rep_flags(&q_prime);
-            let tree = ap.tree_rooted_at(leader_portal);
-            let elected =
-                crate::primitives::election::elect(w, std::slice::from_ref(&tree), &q_hat);
-            w.charge_rounds(1, "announce R' on portal circuit (Lemma 35)");
-            ap.portal_of[elected[0].expect("Q' is non-empty")]
+        let elected = sub_run(w, structure, |w| {
+            portal_elect(w, &ap, leader_portal, &q_prime)
         });
+        let r_prime = elected.expect("Q' is non-empty");
         // Portal tree rooted at R' (depths for LCA identification, Lemma 53).
         let pdepth = portal_depths(&ap, r_prime);
         w.charge_rounds(1, "identify P_DSC via region circuit (Lemma 53)");
