@@ -1615,10 +1615,13 @@ impl World {
     /// counter down to the slowest sub-run: `Σ spans − max span`, one
     /// negative charge-log entry `rebate: {reason}` when the group has two
     /// or more items. This is the only place the counter is rebated. The
-    /// premise holds by construction for sub-runs in node-disjoint child
-    /// worlds ([`World::absorb`]). It is unchecked for sub-runs in this
-    /// world: a PASC run configures its sync link on every node of its
-    /// world, so such sub-runs share one sync circuit.
+    /// premise is the caller's claim, not checked here. Separate child
+    /// worlds ([`World::absorb`]) keep the simulator's sub-runs apart, but
+    /// they do not make the real sub-runs disjoint: two sub-runs whose
+    /// regions share an amoebot use that amoebot's pins in both, and a
+    /// PASC run configures its sync link on every amoebot of its region.
+    /// The premise holds by construction only when the regions are
+    /// node-disjoint.
     pub fn parallel<I: IntoIterator, T>(
         &mut self,
         reason: &str,
