@@ -323,41 +323,35 @@ fn build_regions(
         splits.insert(p, per_side);
     }
 
-    // Quotient nodes: whole non-Q' portals, and one node per
-    // (Q' portal, side, interval); interval j spans member indices
-    // [split_{j-1} ..= split_j] (endpoints shared: marked amoebots belong
-    // to both neighboring regions).
-    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-    enum QNode {
-        Portal(u32),
-        Sub(u32, usize, usize),
-    }
-    fn find(dsu: &mut std::collections::BTreeMap<QNode, QNode>, x: QNode) -> QNode {
-        let p = *dsu.entry(x).or_insert(x);
-        if p == x {
-            x
-        } else {
-            let r = find(dsu, p);
-            dsu.insert(x, r);
-            r
+    // Quotient nodes: each non-Q' portal whole (id: its portal id), and one
+    // node per (Q' portal, side, interval), numbered after the portals in
+    // that order; interval j spans member indices [split_{j-1} ..= split_j]
+    // (endpoints shared: marked amoebots belong to both neighboring regions).
+    let m = ap.portals.len();
+    let mut subs: Vec<(u32, usize, usize)> = Vec::new();
+    let mut first_sub = vec![[0; 2]; m];
+    for (&p, per_side) in &splits {
+        for (side, marks) in per_side.iter().enumerate() {
+            first_sub[p as usize][side] = m + subs.len();
+            subs.extend((0..=marks.len()).map(|j| (p, side, j)));
         }
     }
-    let interval_of = |p: u32, side: usize, member_idx: usize| -> usize {
-        splits[&p][side]
-            .iter()
-            .filter(|&&x| x <= member_idx)
-            .count()
-    };
-    let node_for = |p: u32, toward: u32, connector: usize| -> QNode {
-        if q_prime[p as usize] {
-            let side = side_of(p, toward);
-            QNode::Sub(p, side, interval_of(p, side, member_index(p, connector)))
-        } else {
-            QNode::Portal(p)
+    let node_for = |p: u32, toward: u32, connector: usize| -> usize {
+        if !q_prime[p as usize] {
+            return p as usize;
         }
+        let (side, at) = (side_of(p, toward), member_index(p, connector));
+        first_sub[p as usize][side] + splits[&p][side].iter().filter(|&&x| x <= at).count()
     };
-    let mut dsu: std::collections::BTreeMap<QNode, QNode> = std::collections::BTreeMap::new();
-    for p in 0..ap.portals.len() as u32 {
+    fn find(dsu: &mut [usize], mut x: usize) -> usize {
+        while dsu[x] != x {
+            dsu[x] = dsu[dsu[x]];
+            x = dsu[x];
+        }
+        x
+    }
+    let mut dsu: Vec<usize> = (0..m + subs.len()).collect();
+    for p in 0..m as u32 {
         for &(q, c) in &adj[p as usize] {
             if p < q {
                 let cq = adj[q as usize]
@@ -365,34 +359,15 @@ fn build_regions(
                     .find(|&&(x, _)| x == p)
                     .map(|&(_, cc)| cc)
                     .expect("symmetric portal adjacency");
-                let a = node_for(p, q, c);
-                let b = node_for(q, p, cq);
-                let ra = find(&mut dsu, a);
-                let rb = find(&mut dsu, b);
-                if ra != rb {
-                    dsu.insert(ra, rb);
-                }
+                let a = find(&mut dsu, node_for(p, q, c));
+                dsu[a] = find(&mut dsu, node_for(q, p, cq));
             }
         }
     }
-    // Materialize components into regions, deterministically ordered.
-    let mut all_nodes: Vec<QNode> = Vec::new();
-    for p in 0..ap.portals.len() as u32 {
-        if q_prime[p as usize] {
-            for side in 0..2 {
-                for j in 0..=splits[&p][side].len() {
-                    all_nodes.push(QNode::Sub(p, side, j));
-                }
-            }
-        } else {
-            all_nodes.push(QNode::Portal(p));
-        }
-    }
-    let mut groups: std::collections::BTreeMap<QNode, Vec<QNode>> =
-        std::collections::BTreeMap::new();
-    for &x in &all_nodes {
-        let r = find(&mut dsu, x);
-        groups.entry(r).or_default().push(x);
+    // Materialize components into regions, ordered by their root.
+    let mut groups: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+    for x in (0..m + subs.len()).filter(|&x| x >= m || !q_prime[x]) {
+        groups.entry(find(&mut dsu, x)).or_default().push(x);
     }
     // Regions overlap only on Q' portals: a Q' portal joins both of its
     // sides, and a marked connector both of its intervals. `owner` holds
@@ -402,22 +377,22 @@ fn build_regions(
     for (_, qnodes) in groups {
         let mut nodes = Vec::new();
         let mut boundaries = Vec::new();
-        for qnode in qnodes {
-            match qnode {
-                QNode::Portal(p) => nodes.extend_from_slice(&ap.portals[p as usize]),
-                QNode::Sub(p, side, j) => {
-                    let members = &ap.portals[p as usize];
-                    let s = &splits[&p][side];
-                    let lo = if j == 0 { 0 } else { s[j - 1] };
-                    let hi = if j == s.len() {
-                        members.len() - 1
-                    } else {
-                        s[j]
-                    };
-                    nodes.extend_from_slice(&members[lo..=hi]);
-                    boundaries.push((p, side));
-                }
+        for x in qnodes {
+            if x < m {
+                nodes.extend_from_slice(&ap.portals[x]);
+                continue;
             }
+            let (p, side, j) = subs[x - m];
+            let members = &ap.portals[p as usize];
+            let s = &splits[&p][side];
+            let lo = if j == 0 { 0 } else { s[j - 1] };
+            let hi = if j == s.len() {
+                members.len() - 1
+            } else {
+                s[j]
+            };
+            nodes.extend_from_slice(&members[lo..=hi]);
+            boundaries.push((p, side));
         }
         nodes.sort_unstable();
         nodes.dedup();
