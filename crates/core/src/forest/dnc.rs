@@ -24,6 +24,9 @@
 //!    (Lemma 55).
 //! 4. **Destinations** (Corollary 57): a final root-and-prune with `Q = D`
 //!    prunes every subtree without destinations.
+//!
+//! Each region is a sub-problem of its own: its steps run on the region's
+//! induced sub-structure in a child world (`spt::sub_run`).
 
 use amoebot_circuits::{Topology, World};
 use amoebot_grid::{AmoebotStructure, Axis, NodeId};
@@ -244,13 +247,9 @@ fn sources_forest(world: &mut World, structure: &AmoebotStructure, src: &[usize]
     }
 
     // The last region is the whole structure, so its local ids are global.
-    let last: Vec<Region> = live.into_iter().flatten().collect();
-    match <[Region; 1]>::try_from(last) {
-        Ok(
-            [Region {
-                forest: Some(f), ..
-            }],
-        ) => f,
+    let mut last = live.into_iter().flatten();
+    match (last.next().and_then(|r| r.forest), last.next()) {
+        (Some(forest), None) => forest,
         _ => panic!("all regions must merge into one forest"),
     }
 }
